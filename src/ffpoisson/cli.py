@@ -32,6 +32,7 @@ from .cyclic_algebra import (
     w_valuation,
 )
 from .globalfield import (
+    BudgetExceededError,
     GlobalTestFunction,
     poisson_report,
     simple_coset_functions,
@@ -314,8 +315,7 @@ def cmd_local_fourier(args) -> int:
     pd = PlaceData.synthetic(field, args.d, args.nu)
     win = parse_window(args.window)
     if args.infile:
-        with open(args.infile) as fh:
-            phi = local_fn_from_json(json.load(fh))
+        phi = local_fn_from_json(_read_json(args.infile))
     elif args.delta is not None:
         phi = LocalTestFunction.delta(pd, win, args.delta)
     else:
@@ -357,13 +357,82 @@ def local_fn_to_json(phi: LocalTestFunction) -> dict:
 
 
 def local_fn_from_json(data: dict) -> LocalTestFunction:
-    q = data["q"]
-    p, e = _pq_split(q)
+    where = "local function"
+    p, e = _pq_split(_json_get(data, "q", int, where))
     field = make_field(p, e)
-    pd = PlaceData.synthetic(field, data["d"], data["nu"])
-    win = Window(*data["window"])
-    values = [CycScalar.from_json(field.p, rec) for rec in data["table"]]
-    return LocalTestFunction(pd, win, data["arity"], values)
+    pd = PlaceData.synthetic(
+        field, _json_get(data, "d", int, where), _json_get(data, "nu", int, where)
+    )
+    window = _json_get(data, "window", list, where)
+    if len(window) != 2 or not _all_ints(window):
+        raise ParseError(f"{where}: 'window' must be a list [N, M] of two integers")
+    arity = _json_get(data, "arity", int, where)
+    values = _table_from_json(p, _json_get(data, "table", list, where), where)
+    return LocalTestFunction(pd, Window(*window), arity, values)
+
+
+def global_fn_from_json(field, data: dict) -> GlobalTestFunction:
+    """GlobalTestFunction.from_json, after checking the wire schema."""
+    where = "global function"
+    _json_get(data, "q", int, where)
+    for i, entry in enumerate(_json_get(data, "places", list, where)):
+        at = f"{where}: places[{i}]"
+        poly = _json_get(entry, "poly", None, at)
+        if poly != "inf" and not (isinstance(poly, list) and _all_ints(poly)):
+            raise ParseError(f"{at}: 'poly' must be \"inf\" or a list of integers")
+        _json_get(entry, "N", int, at)
+        _json_get(entry, "M", int, at)
+    _json_get(data, "arity", int, where)
+    _table_from_json(field.p, _json_get(data, "table", list, where), where)
+    return GlobalTestFunction.from_json(field, data)
+
+
+def _read_json(path: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror}") from None
+    except json.JSONDecodeError as exc:
+        raise ParseError(
+            f"{path}: line {exc.lineno}, column {exc.colno}: bad JSON: {exc.msg}"
+        ) from None
+
+
+def _all_ints(values) -> bool:
+    return all(isinstance(v, int) and not isinstance(v, bool) for v in values)
+
+
+_JSON_KINDS = {int: "an integer", list: "a list"}
+
+
+def _json_get(data, key: str, kind, where: str):
+    """data[key], which must exist and (unless kind is None) be a kind."""
+    if not isinstance(data, dict):
+        raise ParseError(f"{where}: expected a JSON object")
+    if key not in data:
+        raise ParseError(f"{where}: missing key {key!r}")
+    value = data[key]
+    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
+        raise ParseError(f"{where}: {key!r} must be {_JSON_KINDS[kind]}")
+    return value
+
+
+def _table_from_json(p: int, table: list, where: str) -> list[CycScalar]:
+    """Table entries: p - 1 pairs [numerator, denominator] each."""
+    values = []
+    for i, rec in enumerate(table):
+        if not (
+            isinstance(rec, list)
+            and len(rec) == p - 1
+            and all(isinstance(r, list) and len(r) == 2 and _all_ints(r) and r[1] for r in rec)
+        ):
+            raise ParseError(
+                f"{where}: table[{i}] must list {p - 1} integer pair(s)"
+                " [numerator, denominator] with nonzero denominators"
+            )
+        values.append(CycScalar.from_json(p, rec))
+    return values
 
 
 def _pq_split(q: int) -> tuple[int, int]:
@@ -384,8 +453,7 @@ def cmd_poisson(args) -> int:
     rows = []
     all_equal = True
     if args.infile:
-        with open(args.infile) as fh:
-            phi = GlobalTestFunction.from_json(field, json.load(fh))
+        phi = global_fn_from_json(field, _read_json(args.infile))
         rep = poisson_report(phi, args.max_enum)
         rows.append(
             {
@@ -590,7 +658,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except TimeoutExceeded as exc:
+    except (TimeoutExceeded, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ParseError, ValueError) as exc:

@@ -1071,13 +1071,14 @@ def fourier_D_value(phi: AlgebraTestFunction, out_jet: AlgebraJet) -> CycScalar:
         xc = desc.gpow(tw, out_jet.coeff_code(i))
         if xc:
             level_exp[j - phi.lo] = [psi_exp[L.mul_code(xc, c)] for c in range(L.q)]
-    arr = np.zeros((D, p), dtype=np.int64)
     dens = 1
     for v in phi.values:
         dens = lcm(dens, *(c.denominator for c in v.coeffs))
-    for idx, v in enumerate(phi.values):
-        for jj, c in enumerate(v.coeffs):
-            arr[idx, jj] = int(c * dens)
+    rows = [[int(c * dens) for c in v.coeffs] + [0] for v in phi.values]
+    # int64 sums of the D rows stay exact while max|entry| * D < 2^62;
+    # past that, sum Python ints instead
+    bound = max(abs(c) for row in rows for c in row) * D
+    arr = np.array(rows, dtype=object if bound >= 1 << 62 else np.int64)
     if level_exp:
         exps = np.zeros(D, dtype=np.int64)
         idxs = np.arange(D)
@@ -1090,7 +1091,7 @@ def fourier_D_value(phi: AlgebraTestFunction, out_jet: AlgebraJet) -> CycScalar:
         exps %= p
     else:
         exps = np.zeros(D, dtype=np.int64)
-    total = np.zeros(p, dtype=np.int64)
+    total = np.zeros(p, dtype=arr.dtype)
     for r in range(p):
         sel = arr[exps == r]
         if len(sel):

@@ -44,15 +44,6 @@ def solve(matrix, rhs):
     return [a[i][n] for i in range(n)]
 
 
-def invert(matrix, zero, one):
-    n = len(matrix)
-    cols = []
-    for j in range(n):
-        rhs = [one if i == j else zero for i in range(n)]
-        cols.append(solve(matrix, rhs))
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
-
-
 def determinant(matrix, zero, one):
     n = len(matrix)
     a = [list(row) for row in matrix]

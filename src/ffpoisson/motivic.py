@@ -355,22 +355,6 @@ class MotivicClass:
         return body
 
 
-def class_add(a: MotivicClass, b: MotivicClass) -> MotivicClass:
-    return a + b
-
-
-def class_mul(a: MotivicClass, b: MotivicClass) -> MotivicClass:
-    return a * b
-
-
-def shift_L(a: MotivicClass, k: int) -> MotivicClass:
-    return a.shift_L(k)
-
-
-def specialize(a: MotivicClass, d: int = 1) -> CycScalar:
-    return a.specialize(d)
-
-
 def psi_class(c: FieldElem) -> MotivicClass:
     """The point class [{c}, Id], the formal character value."""
     field = c.field

@@ -32,8 +32,42 @@ def is_prime(n: int) -> bool:
 # Field descriptors
 # ---------------------------------------------------------------------------
 
-# Fields this small get dense add/mul tables; larger ones compute per-op.
+# Arithmetic tables, all built lazily on first use.  Every field up to
+# _LOG_LIMIT elements gets a log/antilog pair for one primitive element and a
+# negation table; fields up to _TABLE_LIMIT also get dense add/mul/inv tables
+# derived from the pair.  Larger fields compute with polynomials per op.
 _TABLE_LIMIT = 256
+_LOG_LIMIT = 4096
+
+
+def _prime_factors(n: int) -> list[int]:
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _digit_add_rows(p: int, e: int) -> list[list[int]]:
+    """rows[a][b]: the code of the digitwise sum mod p of codes a, b < p^e.
+
+    Built one digit at a time: a code is low + p * high, and the sum of two
+    codes is the sum of their low digits plus p times the sum of their highs.
+    """
+    base = [[(x + y) % p for y in range(p)] for x in range(p)]
+    rows = base
+    for _ in range(e - 1):
+        rows = [
+            [lo + p * hi for hi in high_row for lo in base[a_lo]]
+            for high_row in rows
+            for a_lo in range(p)
+        ]
+    return rows
 
 
 class FieldDescriptor:
@@ -49,6 +83,12 @@ class FieldDescriptor:
         self.q = p**e
         # monic, length e+1, coefficients in 0..p-1, low degree first
         self.modulus = modulus
+        # exp[k] = g^k for the smallest-code primitive element g, stored for
+        # 0 <= k < 2(q-1) so that a sum of two logs indexes it directly;
+        # log[a] is the exponent of a != 0 (log[0] is unused).
+        self._exp: list[int] | None = None
+        self._log: list[int] | None = None
+        self._neg_table: list[int] | None = None
         self._add_table: list[int] | None = None
         self._mul_table: list[int] | None = None
         self._inv_table: list[int] | None = None
@@ -92,59 +132,91 @@ class FieldDescriptor:
                     prod[k - e + i] = (prod[k - e + i] - c * self.modulus[i]) % p
         return self.code_of(prod[:e])
 
+    def _poly_pow(self, a: int, n: int) -> int:
+        r = 1
+        while n:
+            if n & 1:
+                r = self._poly_mul_mod(r, a)
+            a = self._poly_mul_mod(a, a)
+            n >>= 1
+        return r
+
+    def _primitive_element(self) -> int:
+        """The smallest nonzero code whose powers exhaust the unit group."""
+        order = self.q - 1
+        cofactors = [order // r for r in _prime_factors(order)]
+        for g in range(1, self.q):
+            if all(self._poly_pow(g, c) != 1 for c in cofactors):
+                return g
+        raise RuntimeError("no primitive element; modulus not irreducible")
+
     def _ensure_tables(self) -> None:
-        if self._add_table is not None or self.q > _TABLE_LIMIT:
+        if self._exp is not None or self.q > _LOG_LIMIT:
             return
-        q, p, e = self.q, self.p, self.e
-        add = [0] * (q * q)
-        mul = [0] * (q * q)
-        for a in range(q):
-            ca = self.coeffs_of(a)
-            for b in range(a, q):
-                cb = self.coeffs_of(b)
-                s = self.code_of([(x + y) % p for x, y in zip(ca, cb)])
-                add[a * q + b] = s
-                add[b * q + a] = s
-                m = self._poly_mul_mod(a, b)
-                mul[a * q + b] = m
-                mul[b * q + a] = m
-        self._add_table, self._mul_table = add, mul
-        inv = [0] * q
+        q, p = self.q, self.p
+        g = self._primitive_element()
+        exp = [1] * (q - 1)
+        for k in range(1, q - 1):
+            exp[k] = self._poly_mul_mod(exp[k - 1], g)
+        log = [0] * q
+        for k, a in enumerate(exp):
+            log[a] = k
+        neg = [0]
+        for _ in range(self.e):
+            neg = [(-lo) % p + p * hi for hi in neg for lo in range(p)]
+        self._exp, self._log, self._neg_table = exp + exp, log, neg
+        if q > _TABLE_LIMIT:
+            return
+        # the row of a != 0 is exp shifted by log a, read at log b
+        mul, logs = [0] * q, log[1:]
         for a in range(1, q):
-            if inv[a]:
-                continue
-            b = self.pow_code(a, q - 2)
-            inv[a], inv[b] = b, a
-        self._inv_table = inv
+            shifted = self._exp[log[a] : log[a] + q - 1]
+            mul.append(0)
+            mul.extend([shifted[lb] for lb in logs])
+        self._mul_table = mul
+        self._inv_table = [0] + [self._exp[q - 1 - log[a]] for a in range(1, q)]
+        self._add_table = [s for row in _digit_add_rows(p, self.e) for s in row]
 
     def add_code(self, a: int, b: int) -> int:
         self._ensure_tables()
         if self._add_table is not None:
             return self._add_table[a * self.q + b]
         p = self.p
+        if p == 2:
+            return a ^ b
         ca, cb = self.coeffs_of(a), self.coeffs_of(b)
         return self.code_of([(x + y) % p for x, y in zip(ca, cb)])
 
     def neg_code(self, a: int) -> int:
+        self._ensure_tables()
+        if self._neg_table is not None:
+            return self._neg_table[a]
         p = self.p
+        if p == 2:
+            return a
         return self.code_of([(-x) % p for x in self.coeffs_of(a)])
 
     def mul_code(self, a: int, b: int) -> int:
         self._ensure_tables()
         if self._mul_table is not None:
             return self._mul_table[a * self.q + b]
+        if self._log is not None:
+            if a and b:
+                return self._exp[self._log[a] + self._log[b]]
+            return 0
         return self._poly_mul_mod(a, b)
 
     def pow_code(self, a: int, n: int) -> int:
+        if a == 0:
+            if n < 0:
+                raise ZeroDivisionError("inverse of zero field element")
+            return 0 if n else 1
+        self._ensure_tables()
+        if self._log is not None:
+            return self._exp[n * self._log[a] % (self.q - 1)]
         if n < 0:
             a, n = self.inv_code(a), -n
-        r, base = self.code_of([1]), a
-        while n:
-            if n & 1:
-                r = self.mul_code(r, base)
-            base = self.mul_code(base, base)
-            n >>= 1
-        return r
+        return self._poly_pow(a, n)
 
     def inv_code(self, a: int) -> int:
         if a == 0:
@@ -467,10 +539,10 @@ class CycScalar:
         return self * Fraction(factor)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.coeffs[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():

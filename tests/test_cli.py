@@ -197,3 +197,66 @@ def test_recipe_depth_validation():
     bad = RecipeCharPolyCoset(target_s_charpoly(D, 2))
     with pytest.raises(ValueError):
         invariant_fn(D, bad, Window(0, 1))
+
+
+def test_budget_exceeded_exits_3_with_one_line(capsys):
+    code = main(
+        ["poisson", "--p", "2", "--places", "t;inf", "--max-enum", "3", "--out", "/dev/null"]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _global_fn_json():
+    return {
+        "q": 2,
+        "places": [{"poly": [0, 1], "N": 1, "M": 1}],
+        "arity": 1,
+        "table": [[[1, 1]]] * 4,
+    }
+
+
+def test_poisson_input_file_roundtrip(tmp_path):
+    path = tmp_path / "fn.json"
+    path.write_text(json.dumps(_global_fn_json()))
+    code, text = run_cli(["poisson", "--p", "2", "--in", str(path)], tmp_path)
+    assert code == 0
+    assert json.loads(text)["rows"][0]["function"] == "input"
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda d: d.pop("places"), "missing key 'places'"),
+        (lambda d: d.update(arity="1"), "'arity' must be an integer"),
+        (lambda d: d["places"][0].update(poly="t"), "'poly' must be"),
+        (lambda d: d.update(table=[[[1, 0]]] * 4), "table[0]"),
+        (lambda d: d.update(table=[[1]] * 4), "table[0]"),
+    ],
+)
+def test_poisson_input_schema_errors_exit_2(tmp_path, capsys, edit, message):
+    data = _global_fn_json()
+    edit(data)
+    path = tmp_path / "fn.json"
+    path.write_text(json.dumps(data))
+    code = main(["poisson", "--p", "2", "--in", str(path), "--out", "/dev/null"])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_input_file_bad_json_or_missing_exits_2(tmp_path, capsys):
+    path = tmp_path / "fn.json"
+    path.write_text('{"q": 2,')
+    assert main(["poisson", "--p", "2", "--in", str(path)]) == 2
+    assert "bad JSON" in capsys.readouterr().err
+    missing = str(tmp_path / "absent.json")
+    assert main(["local-fourier", "--p", "2", "--in", missing]) == 2
+    assert "cannot read" in capsys.readouterr().err
+
+
+def test_local_input_schema_errors_exit_2(tmp_path, capsys):
+    path = tmp_path / "fn.json"
+    path.write_text(json.dumps({"q": 3, "d": 1, "nu": 0, "window": [1], "arity": 1}))
+    assert main(["local-fourier", "--p", "3", "--in", str(path)]) == 2
+    assert "'window' must be" in capsys.readouterr().err

@@ -371,6 +371,16 @@ def test_fourier_D_value_matches_table():
         assert fourier_D_value(phi, jet) == full.values[k]
 
 
+def test_fourier_D_value_exact_past_int64():
+    # 512 entries of 2^61 sum to 2^70: an int64 sum would wrap to 0
+    big = 2**61
+    phi = AlgebraTestFunction(D3, 0, 3, [CycScalar.rational(2, big)] * 512)
+    lo, hi = dual_jet_window(D3, 0, 3)
+    vol = Fraction(2) ** (-(D3.nu_D // 2) - 3 * D3.n)
+    value = fourier_D_value(phi, jet_from_index(D3, lo, hi, 0))
+    assert value == CycScalar.rational(2, big * 512 * vol)
+
+
 def test_fourier_D_invariance_transport():
     rng = random.Random(10)
     phi = invariant_fn(D3, RecipePsiTrace(), Window(0, 1))

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from ffpoisson.scalars import (
+    _LOG_LIMIT,
+    _TABLE_LIMIT,
     CycScalar,
     cyc_normalize,
     make_field,
@@ -166,3 +168,113 @@ def test_field_element_codes_roundtrip():
         assert F9.code_of(x.coeffs()) == x.code
         if not x.is_zero():
             assert (x * x.inverse()) == F9.one()
+
+
+# -- arithmetic tables against polynomial arithmetic ----------------------------------
+
+# every field p^e <= _TABLE_LIMIT for p in {2, 3, 5, 7}; all pairs up to 64 elements
+TABLED = [(2, e) for e in range(1, 9)] + [(3, e) for e in range(1, 6)]
+TABLED += [(5, 1), (5, 2), (5, 3), (7, 1), (7, 2)]
+LOGGED = [(2, 9), (3, 6)]
+
+
+def _digit_sum(F, a, b):
+    return F.code_of([(x + y) % F.p for x, y in zip(F.coeffs_of(a), F.coeffs_of(b))])
+
+
+def _digit_neg(F, a):
+    return F.code_of([(-x) % F.p for x in F.coeffs_of(a)])
+
+
+def _poly_power(F, a, n):
+    r = 1
+    for bit in bin(n)[2:]:
+        r = F._poly_mul_mod(r, r)
+        if bit == "1":
+            r = F._poly_mul_mod(r, a)
+    return r
+
+
+def _sample_pairs(F, count, seed):
+    if F.q <= 64:
+        return [(a, b) for a in range(F.q) for b in range(F.q)]
+    rng = random.Random(seed)
+    return [(rng.randrange(F.q), rng.randrange(F.q)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("p,e", TABLED)
+def test_dense_tables_match_polynomial_arithmetic(p, e):
+    F = make_field(p, e)
+    F._ensure_tables()
+    q = F.q
+    assert q <= _TABLE_LIMIT and F._mul_table is not None
+    for a, b in _sample_pairs(F, 3000, q):
+        assert F._mul_table[a * q + b] == F._poly_mul_mod(a, b)
+        assert F._add_table[a * q + b] == _digit_sum(F, a, b)
+    assert F._neg_table == [_digit_neg(F, a) for a in range(q)]
+    for a in range(1, q):
+        assert F._poly_mul_mod(a, F._inv_table[a]) == 1
+
+
+@pytest.mark.parametrize("p,e", TABLED + LOGGED)
+def test_log_pair_is_powers_of_smallest_primitive_element(p, e):
+    F = make_field(p, e)
+    F._ensure_tables()
+    q = F.q
+    # the smallest code of multiplicative order q - 1
+    for g in range(1, q):
+        x, order = g, 1
+        while x != 1:
+            x, order = F._poly_mul_mod(x, g), order + 1
+        if order == q - 1:
+            break
+    assert len(F._exp) == 2 * (q - 1)
+    x = 1
+    for k in range(2 * (q - 1)):
+        assert F._exp[k] == x
+        if k < q - 1:
+            assert F._log[x] == k
+        x = F._poly_mul_mod(x, g)
+
+
+@pytest.mark.parametrize("p,e", LOGGED)
+def test_log_path_matches_polynomial_arithmetic(p, e):
+    F = make_field(p, e)
+    q = F.q
+    assert _TABLE_LIMIT < q <= _LOG_LIMIT
+    rng = random.Random(q)
+    for a, b in _sample_pairs(F, 2000, q):
+        assert F.mul_code(a, b) == F._poly_mul_mod(a, b)
+        assert F.add_code(a, b) == _digit_sum(F, a, b)
+        assert F.neg_code(a) == _digit_neg(F, a)
+        n = rng.randrange(3 * q)
+        assert F.pow_code(a, n) == _poly_power(F, a, n)
+        if a:
+            assert F._poly_mul_mod(a, F.inv_code(a)) == 1
+            assert F.pow_code(a, -n) == _poly_power(F, F.inv_code(a), n)
+    assert F._mul_table is None and F._log is not None
+    assert F.pow_code(0, 0) == 1 and F.pow_code(0, 5) == 0
+
+
+def test_polynomial_fallback_above_log_limit():
+    F = make_field(2, 13)
+    q = F.q
+    assert q > _LOG_LIMIT
+    rng = random.Random(13)
+    for _ in range(40):
+        a, b = rng.randrange(1, q), rng.randrange(q)
+        assert F.pow_code(a, q - 1) == 1
+        assert F.mul_code(a, F.inv_code(a)) == 1
+        assert F.mul_code(a, b) == F._poly_mul_mod(a, b)
+        assert F.add_code(F.add_code(a, b), F.neg_code(b)) == a
+    assert F._log is None and F._mul_table is None
+    with pytest.raises(ZeroDivisionError):
+        F.inv_code(0)
+
+
+def test_cyc_scalar_zero_and_rational_predicates():
+    assert CycScalar.zero(5).is_zero() and CycScalar.zero(5).is_rational()
+    assert CycScalar.rational(5, Fraction(-2, 3)).is_rational()
+    assert not CycScalar.rational(5, Fraction(-2, 3)).is_zero()
+    z = CycScalar.zeta_power(5, 2)
+    assert not z.is_zero() and not z.is_rational()
