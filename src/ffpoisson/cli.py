@@ -34,8 +34,8 @@ from .cyclic_algebra import (
 from .globalfield import (
     BudgetExceededError,
     GlobalTestFunction,
+    poisson_family,
     poisson_report,
-    simple_coset_functions,
 )
 from .localfield import (
     LocalTestFunction,
@@ -468,18 +468,18 @@ def cmd_poisson(args) -> int:
         places = [parse_place(s, field) for s in args.places.split(";")]
         win = parse_window(args.window)
         watchdog = _Watchdog(args.timeout)
-        for label, phi in simple_coset_functions(field, places, win):
-            watchdog.check(f"poisson basis item {label}")
-            rep = poisson_report(phi, args.max_enum)
+        family = poisson_family(field, places, win, args.max_enum, watchdog.check)
+        for label, lhs, rhs in family:
+            equal = lhs == rhs
             rows.append(
                 {
                     "function": label,
-                    "lhs": _value_json(rep["lhs"]),
-                    "rhs": _value_json(rep["rhs"]),
-                    "equal": rep["equal"],
+                    "lhs": _value_json(lhs),
+                    "rhs": _value_json(rhs),
+                    "equal": equal,
                 }
             )
-            all_equal = all_equal and rep["equal"]
+            all_equal = all_equal and equal
     report = base_report(
         "poisson", args, ["p", "e", "places", "window", "max_enum"]
     )

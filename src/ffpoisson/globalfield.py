@@ -14,10 +14,17 @@ support (dt has its double pole there).
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
+from functools import lru_cache
+
+import numpy as np
 
 from .localfield import (
+    _INT64_GUARD,
     JetVector,
     Window,
+    _IntRep,
+    _rep_axis_transform,
     index_to_jet,
     jet_space_size,
     jet_to_index,
@@ -26,7 +33,7 @@ from .localfield import (
 )
 from .place import Place, place_data, places_up_to
 from .poly import Poly, RationalFn
-from .scalars import CycScalar, FieldDescriptor
+from .scalars import CycScalar, FieldDescriptor, cyc_normalize
 
 __all__ = [
     "Divisor",
@@ -40,6 +47,7 @@ __all__ = [
     "jet_at",
     "GlobalTestFunction",
     "indicator_everywhere_integral",
+    "jet_counts",
     "delta_K",
     "normalize_support",
     "refine_place",
@@ -48,6 +56,7 @@ __all__ = [
     "translate",
     "poisson_report",
     "simple_coset_functions",
+    "poisson_family",
     "BudgetExceededError",
 ]
 
@@ -202,9 +211,6 @@ def rr_space(D: Divisor, max_enum: int = 1 << 20) -> list[RationalFn]:
     return out
 
 
-from functools import lru_cache
-
-
 @lru_cache(maxsize=1 << 16)
 def jet_at(f: RationalFn, u: Place, window: Window) -> JetVector:
     """f viewed in the window at u; error if its pole is too deep."""
@@ -313,31 +319,18 @@ class _AxisTable:
 # ---------------------------------------------------------------------------
 
 
-def _permute_axes(values, old_sizes, axis_perm):
-    """Reorder a flat mixed-radix table: new axis i is old axis axis_perm[i]."""
-    new_sizes = [old_sizes[a] for a in axis_perm]
-    total = 1
-    for s in old_sizes:
-        total *= s
-    out = [None] * total
-    old_strides = []
-    acc = 1
-    for s in reversed(old_sizes):
-        old_strides.append(acc)
-        acc *= s
-    old_strides.reverse()
-    for idx in range(total):
-        rem = idx
-        digits = []
-        for s in reversed(new_sizes):
-            digits.append(rem % s)
-            rem //= s
-        digits.reverse()
-        old_idx = 0
-        for d, a in zip(digits, axis_perm):
-            old_idx += d * old_strides[a]
-        out[idx] = values[old_idx]
-    return out
+def _mixed_radix_index(sizes, axis_perm, new_sizes=None) -> np.ndarray:
+    """Flat positions in a row-major table with the given axis sizes, listed
+    in the row-major order of a new table whose axis i is old axis
+    axis_perm[i].  An axis_perm entry None is a new axis of size
+    new_sizes[i] that the table does not depend on; every old axis appears
+    exactly once."""
+    idx = np.arange(_prod(sizes), dtype=np.int64).reshape(sizes)
+    idx = idx.transpose([a for a in axis_perm if a is not None])
+    if new_sizes is not None:
+        shape = [1 if a is None else sizes[a] for a in axis_perm]
+        idx = np.broadcast_to(idx.reshape(shape), new_sizes)
+    return idx.reshape(-1)
 
 
 class GlobalTestFunction:
@@ -363,7 +356,7 @@ class GlobalTestFunction:
                 for block in range(len(support))
                 for coord in range(arity)
             ]
-            values = _permute_axes(values, old_sizes, axis_perm)
+            values = [values[i] for i in _mixed_radix_index(old_sizes, axis_perm).tolist()]
             support = [support[i] for i in order]
         self.field = field
         self.places = tuple(pw[0] for pw in support)
@@ -534,7 +527,7 @@ def normalize_support(phi: GlobalTestFunction, extra_places) -> GlobalTestFuncti
         return phi
     new_support = phi.support() + [(u, Window(0, 1)) for u in extra]
     new_support.sort(key=lambda pw: pw[0].sort_key())
-    # build by tensoring: iterate the new table's indices, read the old value
+    # tensor with the new places' constant axes: read the old value per cell
     order_old = {u: i for i, u in enumerate(phi.places)}
     sizes = []
     mapping = []  # per new axis: old axis index or None
@@ -542,27 +535,10 @@ def normalize_support(phi: GlobalTestFunction, extra_places) -> GlobalTestFuncti
         D = jet_space_size(place_data(u), w)
         for coord in range(phi.arity):
             sizes.append(D)
-            if u in order_old:
-                mapping.append(order_old[u] * phi.arity + coord)
-            else:
-                mapping.append(None)
+            mapping.append(order_old[u] * phi.arity + coord if u in order_old else None)
     old_sizes = [jet_space_size(pd, w) for pd, w in phi.axis_list()]
-    total = 1
-    for s in sizes:
-        total *= s
-    out = []
-    for idx in range(total):
-        digits = []
-        k = idx
-        for D in reversed(sizes):
-            digits.append(k % D)
-            k //= D
-        digits.reverse()
-        old_idx = 0
-        for old_axis in range(len(old_sizes)):
-            pos = mapping.index(old_axis)
-            old_idx = old_idx * old_sizes[old_axis] + digits[pos]
-        out.append(phi.values[old_idx])
+    idx = _mixed_radix_index(old_sizes, mapping, sizes)
+    out = [phi.values[i] for i in idx.tolist()]
     return GlobalTestFunction(phi.field, new_support, phi.arity, out, phi.mode)
 
 
@@ -705,20 +681,14 @@ def mult_by_residue_character(phi: GlobalTestFunction, a: RationalFn) -> GlobalT
                     tot = tot + c * x
             exps.append(pd.trace_to_base_codes[tot.code])
         place_exp.append(exps)
-    sizes = [jet_space_size(place_data(u), w) for u, w in phi.support()]
-    values = []
-    add_q = phi.field.add_code
-    for idx, v in enumerate(phi.values):
-        rem = idx
-        digits = []
-        for D in reversed(sizes):
-            digits.append(rem % D)
-            rem //= D
-        digits.reverse()
-        e = 0
-        for pl, j in enumerate(digits):
-            e = add_q(e, place_exp[pl][j])
-        values.append(v * ops.psi_base(e))
+    # the character's exponent in every cell: a sum over the place axes
+    q, add_q = phi.field.q, phi.field.add_code
+    add = np.array([[add_q(a, b) for b in range(q)] for a in range(q)], dtype=np.int64)
+    e = np.zeros((), dtype=np.int64)
+    for exps in place_exp:
+        e = add[e[..., None], np.array(exps, dtype=np.int64)]
+    psi = [ops.psi_base(c) for c in range(q)]
+    values = [v * psi[k] for v, k in zip(phi.values, e.reshape(-1).tolist())]
     return GlobalTestFunction(phi.field, phi.support(), 1, values, phi.mode)
 
 
@@ -765,36 +735,55 @@ def scale_variable(phi: GlobalTestFunction, a: RationalFn) -> GlobalTestFunction
     return GlobalTestFunction(phi.field, new_support, 1, table.values, phi.mode)
 
 
+_COUNT_CACHE: dict = {}
+
+
+def jet_counts(field, support, arity: int, max_enum: int = 1 << 20) -> np.ndarray:
+    """c[j]: how many arity-tuples of members of L(sum_u N_u [u]) have their
+    jets on the support (canonical place order) in table cell j, so that
+    delta_K(phi) = sum_j c[j] phi[j].  Cached per (support, arity); the
+    enumeration budget is checked on every call."""
+    support = tuple(support)
+    members = rr_space(Divisor(field, {u: w.N for u, w in support}), max_enum)
+    if len(members) ** arity > max_enum:
+        raise BudgetExceededError(
+            f"enumeration of {len(members)}^{arity} tuples exceeds {max_enum}"
+        )
+    key = (support, arity)
+    got = _COUNT_CACHE.get(key)
+    if got is not None:
+        return got
+    sizes = [jet_space_size(place_data(u), w) for u, w in support]
+    cell = np.zeros(len(members), dtype=np.int64)
+    for (u, w), D in zip(support, sizes):
+        jets = [jet_to_index(jet_at(f, u, w)) for f in members]
+        cell = cell * D + np.array(jets, dtype=np.int64)
+    one = np.bincount(cell, minlength=_prod(sizes))
+    # the coordinates are independent members: an outer power, laid out
+    # coordinate-major, then moved to the table's place-major axis order
+    counts = one
+    for _ in range(arity - 1):
+        counts = np.multiply.outer(counts, one)
+    nplaces = len(support)
+    perm = [c * nplaces + pl for pl in range(nplaces) for c in range(arity)]
+    got = counts.reshape(-1)[_mixed_radix_index(sizes * arity, perm)]
+    got.flags.writeable = False
+    _COUNT_CACHE[key] = got
+    return got
+
+
 def delta_K(phi: GlobalTestFunction, max_enum: int = 1 << 20):
     """Sum of phi over the rational functions of F_q(t).
 
-    Only members of L(sum_u N_u [u]) can contribute; they are enumerated
-    per coordinate and phi is summed over their jets, exactly.
+    Only members of L(sum_u N_u [u]) can contribute; phi is paired with
+    the count of their jet tuples in each cell, exactly.
     """
     if phi.mode != "exact":
         raise ValueError("the rational-point sum is specialized; use exact mode")
-    field = phi.field
-    D = Divisor(field, {u: w.N for u, w in phi.support()})
-    members = rr_space(D, max_enum)
-    if len(members) ** phi.arity > max_enum:
-        raise BudgetExceededError(
-            f"enumeration of {len(members)}^{phi.arity} tuples exceeds {max_enum}"
-        )
-    # jets of every member at every support place, computed once
-    jet_idx: list[list[int]] = []
-    sizes = []
-    for u, w in phi.support():
-        pd = place_data(u)
-        sizes.append(jet_space_size(pd, w))
-        jet_idx.append([jet_to_index(jet_at(f, u, w)) for f in members])
+    counts = jet_counts(phi.field, phi.support(), phi.arity, max_enum)
     acc = phi._ops().zero()
-    nplaces = len(phi.places)
-    for combo in itertools.product(range(len(members)), repeat=phi.arity):
-        idx = 0
-        for pl in range(nplaces):
-            for f_i in combo:
-                idx = idx * sizes[pl] + jet_idx[pl][f_i]
-        acc = acc + phi.values[idx]
+    for j in np.flatnonzero(counts).tolist():
+        acc = acc + phi.values[j] * int(counts[j])
     return acc
 
 
@@ -810,6 +799,20 @@ def poisson_report(phi: GlobalTestFunction, max_enum: int = 1 << 20) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _coset_choices(pd, window: Window):
+    """One place's simple cosets on the window, as (label, first jet, jet
+    count): the single jets (invariance depth M) first, then the cosets of
+    s^m O for m = M-1 down to 0.  Each is a contiguous run of jet indices."""
+    N, M = window.N, window.M
+    qd = pd.ku.q
+    choices = [(f"m{M}:{j}", j, 1) for j in range(jet_space_size(pd, window))]
+    for m in range(M - 1, -1, -1):
+        block = qd ** (M - m)
+        for lead in range(qd ** (N + m)):
+            choices.append((f"m{m}:{lead}", lead * block, block))
+    return choices
+
+
 def simple_coset_functions(field, places_list, max_window=Window(1, 1)):
     """Every simple coset indicator on the given support with windows
     dominated by max_window: per place a coset a + s^m O with invariance
@@ -818,23 +821,8 @@ def simple_coset_functions(field, places_list, max_window=Window(1, 1)):
     itself at m = 0.  Yields (label, function) pairs, all emitted on the
     common window max_window so downstream batch machinery shares caches.
     """
-    N, M = max_window.N, max_window.M
     pds = [place_data(u) for u in places_list]
-    per_place_choices = []
-    for u, pd in zip(places_list, pds):
-        qd = pd.ku.q
-        D = jet_space_size(pd, max_window)
-        choices = []
-        # invariance depth m = M: single-jet indicators
-        for j in range(D):
-            choices.append((f"m{M}:{j}", (j,), 1))
-        # coarser invariance depths m < M: cosets of s^m O
-        for m in range(M - 1, -1, -1):
-            block = qd ** (M - m)
-            for lead in range(qd ** (N + m)):
-                jets = tuple(lead * block + r for r in range(block))
-                choices.append((f"m{m}:{lead}", jets, block))
-        per_place_choices.append(choices)
+    per_place_choices = [_coset_choices(pd, max_window) for pd in pds]
     ops = ops_for(pds[0], "exact")
     one, zero = ops.one(), ops.zero()
     sizes = [jet_space_size(pd, max_window) for pd in pds]
@@ -842,7 +830,7 @@ def simple_coset_functions(field, places_list, max_window=Window(1, 1)):
         label = ",".join(f"{u!r}:{c[0]}" for u, c in zip(places_list, combo))
         values = [zero] * _prod(sizes)
         # fill the product of jet sets
-        for jets in itertools.product(*[c[1] for c in combo]):
+        for jets in itertools.product(*[range(c[1], c[1] + c[2]) for c in combo]):
             idx = 0
             for D, j in zip(sizes, jets):
                 idx = idx * D + j
@@ -850,6 +838,137 @@ def simple_coset_functions(field, places_list, max_window=Window(1, 1)):
         yield label, GlobalTestFunction(
             field, [(u, max_window) for u in places_list], 1, values
         )
+
+
+def _transform_counts(field, axes, counts: np.ndarray):
+    """The placewise transform of an integer table, as (arr, den): arr[j]
+    over zeta^0..zeta^(p-1), every entry over the common denominator den.
+    int64 when each axis passes the guard of _rep_axis_transform; otherwise
+    the whole table goes through transform_axis and arr holds Fractions."""
+    p = field.p
+    arr = np.zeros((counts.size, p), dtype=np.int64)
+    arr[:, 0] = counts
+    rep = _IntRep(arr, 1)
+    sizes = [jet_space_size(pd, w) for pd, w in axes]
+    for axis, (pd, w) in enumerate(axes):
+        pre, post = _prod(sizes[:axis]), _prod(sizes[axis + 1 :])
+        out = _rep_axis_transform(rep, pd, w, pre, post)
+        if out is None:
+            break
+        rep = out[0]
+    else:
+        return rep.arr, rep.den
+    table = _AxisTable(axes, [CycScalar.rational(p, n) for n in counts.tolist()], "exact")
+    for axis in range(len(axes)):
+        table.transform(axis)
+    arr = np.array([list(v.coeffs) + [Fraction(0)] for v in table.values], dtype=object)
+    return arr, 1
+
+
+def _poisson_functionals(field, support, max_enum=1 << 20, check=None):
+    """delta_K and delta_K o F as vectors on a canonical-order arity-1
+    support: (c, g, den) with delta_K(phi) = <c, phi> and
+    delta_K(global_fourier(phi)) = <g, phi> / den, both shaped by the
+    support's jet spaces (g with a trailing zeta-power axis of length p).
+
+    c counts the jets of the members of L(sum_u N_u [u]).  With c' the
+    counts on the dual support and T the pull-back that global_fourier
+    applies (infinity added with window (0, 1), windows refined to
+    M >= nu), g = T^t F^t c'.  F^t is the transform on the dual windows
+    rescaled by q^(d(M' - M)) on each axis: the pairing r(xy) is symmetric
+    and the dual of the dual window is the window.  T^t sums over the
+    refined fibres and over the added axis.  check(context), when given,
+    is called between the phases.
+    """
+    check = check or (lambda context: None)
+    p = field.p
+    sizes = [jet_space_size(place_data(u), w) for u, w in support]
+    check("poisson jet counts")
+    c = jet_counts(field, support, 1, max_enum).reshape(sizes)
+    # the support global_fourier transforms, and T^t as a sum per axis
+    windows = dict(support)
+    inf = Place.infinity(field)
+    wide = sorted(set(windows) | {inf}, key=lambda u: u.sort_key())
+    shape, summed, axes = [], [], []
+    for u in wide:
+        pd = place_data(u)
+        if u not in windows:
+            w = Window(0, max(1, pd.nu))
+            summed.append(len(shape))
+            shape.append(jet_space_size(pd, w))
+        else:
+            w = Window(windows[u].N, max(windows[u].M, pd.nu))
+            shape.append(jet_space_size(pd, windows[u]))
+            if w.M > windows[u].M:
+                summed.append(len(shape))
+                shape.append(pd.ku.q ** (w.M - windows[u].M))
+        axes.append((pd, w))
+    dual_axes = [(pd, w.dual(pd.nu)) for pd, w in axes]
+    c_dual = jet_counts(field, [(u, w) for u, (_, w) in zip(wide, dual_axes)], 1, max_enum)
+
+    check("poisson dual transform")
+    g, den = _transform_counts(field, dual_axes, c_dual)
+    scale = Fraction(1)
+    for (pd, w), (_, wd) in zip(axes, dual_axes):
+        scale *= Fraction(pd.base.q) ** (pd.d * (wd.M - w.M))
+    if g.dtype != object:
+        # every later sum adds distinct cells with weight one, so this
+        # bounds every entry of g and of the family's rows
+        bound = max(1, int(np.abs(g).max(initial=0)))
+        if bound * scale.numerator * len(g) >= _INT64_GUARD:
+            g = g.astype(object)
+    g = (g * scale.numerator).reshape(shape + [p]).sum(axis=tuple(summed))
+    return c, g, den * scale.denominator
+
+
+def poisson_family(field, places_list, window=Window(1, 1), max_enum=1 << 20, check=None):
+    """Both sides of the summation formula for every function of
+    simple_coset_functions(field, places_list, window), in its order, as
+    (label, lhs, rhs) triples, with no table built per function.
+
+    The family is the Kronecker product of each place's matrix of coset
+    indicators, so lhs = (x_u I_u) c and rhs = (x_u I_u) g for the vectors
+    of _poisson_functionals: one contraction per place axis.
+    check(context), when given, is called between the phases.
+    """
+    if len(set(places_list)) != len(places_list):
+        raise ValueError("duplicate place in support")
+    check = check or (lambda context: None)
+    p = field.p
+    order = sorted(range(len(places_list)), key=lambda i: places_list[i].sort_key())
+    canon = [places_list[i] for i in order]
+    lhs, rhs, den = _poisson_functionals(
+        field, [(u, window) for u in canon], max_enum, check
+    )
+    check("poisson family rows")
+    choices = []
+    for k, u in enumerate(canon):
+        choices.append(_coset_choices(place_data(u), window))
+        ind = np.zeros((len(choices[-1]), lhs.shape[k]), dtype=np.int64)
+        for row, (_, first, count) in enumerate(choices[-1]):
+            ind[row, first : first + count] = 1
+        lhs = np.moveaxis(np.tensordot(ind, lhs, axes=([1], [k])), 0, k)
+        rhs = np.moveaxis(np.tensordot(ind, rhs, axes=([1], [k])), 0, k)
+    # rows in the order the places were given, which the labels follow
+    where = [order.index(i) for i in range(len(order))]
+    given = _mixed_radix_index([len(c) for c in choices], where)
+    labels = itertools.product(
+        *[[f"{u!r}:{c[0]}" for c in choices[k]] for u, k in zip(places_list, where)]
+    )
+    memo: dict = {}
+    out = []
+    for parts, n, row in zip(
+        labels, lhs.reshape(-1)[given].tolist(), rhs.reshape(-1, p)[given].tolist()
+    ):
+        key = (n, tuple(row))
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = (
+                cyc_normalize(p, [n]),
+                cyc_normalize(p, [Fraction(x, den) for x in row]),
+            )
+        out.append((",".join(parts), *got))
+    return out
 
 
 def _prod(xs):

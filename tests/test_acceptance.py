@@ -196,20 +196,46 @@ def test_criterion_05_rational_point_functional():
     _report(5, "delta_K of the integral indicator counts the constants, q in {2,3,4}", time.time() - t0, 10.0)
 
 
+def _power_series(num, den, B):
+    """Coefficients of num/den up to t^B; integer polynomials as coefficient
+    lists, low degree first, with den[0] = 1."""
+    out = []
+    for k in range(B + 1):
+        c = Fraction(num[k] if k < len(num) else 0)
+        for j in range(1, min(k, len(den) - 1) + 1):
+            c -= den[j] * out[k - j]
+        out.append(c)
+    return out
+
+
 def test_criterion_06_euler_product():
     t0 = time.time()
     for p in (2, 3):
         field = make_field(p)
-        for X in (
-            ConstructibleSet.affine_line(field),
-            ConstructibleSet.punctured_line(field),
+        q = field.q
+        # closed forms: the zeta function of A^1 and of G_m, and the
+        # character sums over them (Z(A^1, psi) = 1 - 2t^2 at p = 2, where
+        # psi(x) = (-1)^Tr(x), and 1 at p = 3)
+        zeta_num = [1, 0, -q]
+        psi_num = [1, 0, -2] if p == 2 else [1]
+        expected = {
+            ("a1", "one"): _power_series(zeta_num, [1, -q], 4),
+            ("gm", "one"): _power_series(zeta_num, [1, 1 - q, -q], 4),
+            ("a1", "psi"): _power_series(psi_num, [1], 4),
+            ("gm", "psi"): _power_series(psi_num, [1, 1], 4),
+        }
+        for name, X in (
+            ("a1", ConstructibleSet.affine_line(field)),
+            ("gm", ConstructibleSet.punctured_line(field)),
         ):
-            lhs, rhs = euler_product(X, ClassFamily.one(field, 1), 4)
-            assert lhs == rhs
-            lhs, rhs = euler_product(
-                X, ClassFamily.character(field, 1, MPoly.var(field, 1, 0)), 4
-            )
-            assert lhs == rhs
+            for fam_name, family in (
+                ("one", ClassFamily.one(field, 1)),
+                ("psi", ClassFamily.character(field, 1, MPoly.var(field, 1, 0))),
+            ):
+                lhs, rhs = euler_product(X, family, 4)
+                assert lhs == rhs
+                want = [CycScalar.rational(p, c) for c in expected[name, fam_name]]
+                assert lhs == want, f"p={p} {name} {fam_name}"
     _report(6, "closed-point products match stable-subset series to t^4", time.time() - t0, 30.0)
 
 

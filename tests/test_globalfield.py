@@ -2,8 +2,11 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from ffpoisson import globalfield, localfield
+from ffpoisson.cli import parse_place
 from ffpoisson.globalfield import (
     BudgetExceededError,
     Divisor,
@@ -14,9 +17,13 @@ from ffpoisson.globalfield import (
     extend_place,
     global_fourier,
     indicator_everywhere_integral,
+    _mixed_radix_index,
+    _poisson_functionals,
     jet_at,
+    jet_counts,
     mult_by_residue_character,
     normalize_support,
+    poisson_family,
     poisson_report,
     refine_place,
     rr_basis,
@@ -28,7 +35,7 @@ from ffpoisson.globalfield import (
 from ffpoisson.localfield import Window, index_to_jet, jet_space_size, jet_to_index
 from ffpoisson.place import Place, place_data, places_up_to
 from ffpoisson.poly import Poly, RationalFn
-from ffpoisson.scalars import CycScalar, make_field
+from ffpoisson.scalars import CycScalar, cyc_normalize, make_field
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -420,3 +427,160 @@ def test_jet_residue_consistency():
         pd = place_data(u)
         jet = jet_at(f, u, Window(1, 2))
         assert residue(jet, pd) == residue(f, pd)
+
+
+# -- Poisson summation for the whole simple-coset family --------------------------------
+
+# (p, places in the order given, window, rows checked against poisson_report:
+# None for all of them, else a seeded sample of that many)
+FAMILY_CASES = [
+    (2, "t;t^2+t+1", (1, 1), None),  # no infinity
+    (2, "t;inf;t^2+t+1", (0, 1), None),  # out of canonical order, M < nu at inf
+    (3, "t;inf", (1, 1), None),
+    (3, "t;t+1;inf", (1, 0), None),
+    (3, "t;t+1;inf", (0, 1), None),
+    (3, "inf;t", (1, 2), 60),  # M >= nu at inf: nothing refined
+    (2, "t;t+1;inf;t^2+t+1", (1, 1), 60),  # the criterion-3 places at q = 2
+    (3, "t;t+1;inf", (1, 1), 60),  # and at q = 3
+]
+
+
+def _family_places(p, text):
+    field = make_field(p)
+    return field, [parse_place(s, field) for s in text.split(";")]
+
+
+@pytest.mark.parametrize("p,text,window,sample", FAMILY_CASES)
+def test_poisson_family_matches_reports(p, text, window, sample):
+    field, places = _family_places(p, text)
+    win = Window(*window)
+    rows = poisson_family(field, places, win)
+    fns = list(simple_coset_functions(field, places, win))
+    assert [label for label, _, _ in rows] == [label for label, _ in fns]
+    picks = range(len(rows))
+    if sample is not None:
+        picks = sorted(random.Random(p).sample(picks, sample))
+    for i in picks:
+        rep = poisson_report(fns[i][1])
+        assert (rows[i][1], rows[i][2]) == (rep["lhs"], rep["rhs"]), rows[i][0]
+    assert all(lhs == rhs for _, lhs, rhs in rows)
+
+
+@pytest.mark.parametrize("p,text,window,sample", FAMILY_CASES)
+def test_poisson_functionals_g_equals_c(p, text, window, sample):
+    # T^t F^t c' = c: Poisson summation for every function on the support
+    field, places = _family_places(p, text)
+    support = sorted(((u, Window(*window)) for u in places), key=lambda pw: pw[0].sort_key())
+    c, g, den = _poisson_functionals(field, support)
+    assert g.shape == c.shape + (p,)
+    top = g[..., p - 1]
+    for k in range(p - 1):
+        want = c * den if k == 0 else 0
+        assert np.array_equal(g[..., k] - top, np.broadcast_to(want, c.shape))
+
+
+def test_poisson_functionals_mixed_windows():
+    support = [(INF2, Window(0, 1)), (P0, Window(2, 1)), (PI2, Window(1, 0))]
+    c, g, den = _poisson_functionals(F2, support)
+    assert np.array_equal(g[..., 0] - g[..., 1], c * den)
+    phi = _coset_indicator(F2, support, [1, 5, 2])
+    rep = poisson_report(phi)
+    assert rep["lhs"] == CycScalar.rational(2, int(c[1, 5, 2]))
+    assert rep["rhs"] == cyc_normalize(2, [Fraction(x, den) for x in g[1, 5, 2].tolist()])
+
+
+def test_poisson_family_without_int64_path(monkeypatch):
+    # the int64 guards refuse everything: transform_axis's object path and
+    # Python-int sums must give the same rows
+    field, places = _family_places(2, "t;inf")
+    fast = poisson_family(field, places)
+    monkeypatch.setattr(localfield, "_INT64_GUARD", 1)
+    monkeypatch.setattr(globalfield, "_INT64_GUARD", 1)
+    support = [(INF2, Window(1, 1)), (P0, Window(1, 1))]
+    c, g, den = _poisson_functionals(F2, support)
+    assert g.dtype == object
+    assert poisson_family(field, places) == fast
+
+
+def test_poisson_family_budget_and_duplicates():
+    field, places = _family_places(2, "t;inf")
+    with pytest.raises(BudgetExceededError):
+        poisson_family(field, places, Window(1, 1), max_enum=3)
+    with pytest.raises(ValueError):
+        poisson_family(field, [P0, INF2, P0])
+    phases = []
+    poisson_family(field, places, check=phases.append)
+    assert phases == ["poisson jet counts", "poisson dual transform", "poisson family rows"]
+
+
+def test_jet_counts_arity_two_matches_enumeration():
+    support = [(INF2, Window(1, 1)), (P0, Window(1, 1))]
+    members = rr_space(Divisor(F2, {INF2: 1, P0: 1}))
+    sizes = [4, 4]
+    counts = [0] * 256
+    for f, g in itertools.product(members, repeat=2):
+        idx = 0
+        for (u, w), D in zip(support, sizes):
+            for h in (f, g):
+                idx = idx * D + jet_to_index(jet_at(h, u, w))
+        counts[idx] += 1
+    assert jet_counts(F2, support, 2).tolist() == counts
+    rng = random.Random(5)
+    vals = [CycScalar.rational(2, rng.randrange(-3, 4)) for _ in range(256)]
+    phi = GlobalTestFunction(F2, support, 2, vals)
+    assert delta_K(phi) == sum((v * n for v, n in zip(vals, counts)), CycScalar.zero(2))
+
+
+def test_mixed_radix_index_against_digits():
+    sizes = [2, 3, 4]
+    perm = [2, None, 0, 1]
+    new_sizes = [4, 5, 2, 3]
+    got = _mixed_radix_index(sizes, perm, new_sizes).tolist()
+    want = []
+    for digits in itertools.product(*[range(s) for s in new_sizes]):
+        old = [0] * 3
+        for d, a in zip(digits, perm):
+            if a is not None:
+                old[a] = d
+        want.append((old[0] * 3 + old[1]) * 4 + old[2])
+    assert got == want
+    assert _mixed_radix_index(sizes, [1, 2, 0]).tolist() == [
+        (a * 3 + b) * 4 + c for b in range(3) for c in range(4) for a in range(2)
+    ]
+
+
+@pytest.mark.parametrize("field", [F2, F3])
+def test_mult_by_residue_character_cellwise(field):
+    # every cell against psi(sum_u r_u(a x_u)), with x_u read off a Laurent
+    # polynomial in the place's uniformizer that has the cell's jet
+    from ffpoisson.localfield import residue_trace
+    from ffpoisson.scalars import psi
+
+    p = field.p
+    t = RationalFn.t(field)
+    inv_t = RationalFn(Poly.one(field), Poly.x(field))
+    a = inv_t + t  # simple poles at 0 and at inf
+    inf, zero = Place.infinity(field), Place.at(field, 0)
+    support = [(inf, Window(1, 3)), (zero, Window(1, 1))]
+    sizes = [jet_space_size(place_data(u), w) for u, w in support]
+    phi = GlobalTestFunction(field, support, 1, [CycScalar.one(p)] * (sizes[0] * sizes[1]))
+    out = mult_by_residue_character(phi, a)
+    assert out.support() == support
+    consts = [RationalFn.constant(field, field.from_code(c)) for c in range(p)]
+    exps = []
+    for (u, w), s, s_inv in zip(support, (inv_t, t), (t, inv_t)):
+        pd = place_data(u)
+        exp = {}
+        for digits in itertools.product(range(p), repeat=w.levels):
+            f = RationalFn.zero(field)
+            for k, c in zip(range(-w.N, w.M), digits):
+                mono = consts[c]
+                for _ in range(abs(k)):
+                    mono = mono * (s if k > 0 else s_inv)
+                f = f + mono
+            exp[jet_to_index(jet_at(f, u, w))] = residue_trace(a * f, pd)
+        assert len(exp) == jet_space_size(pd, w)
+        exps.append(exp)
+    for idx, v in enumerate(out.values):
+        x_inf, x_0 = divmod(idx, sizes[1])
+        assert v == psi(exps[0][x_inf] + exps[1][x_0]), idx
