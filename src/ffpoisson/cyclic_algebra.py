@@ -21,11 +21,17 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import lcm
 
 import numpy as np
 
 from . import linalg
+from .localfield import (
+    _contract_levels,
+    _digit_matrix,
+    _int64_or_object,
+    _int_to_values,
+    _values_to_int,
+)
 from .place import Place, PlaceData, place_data
 from .poly import Poly, RationalFn
 from .scalars import (
@@ -1071,14 +1077,9 @@ def fourier_D_value(phi: AlgebraTestFunction, out_jet: AlgebraJet) -> CycScalar:
         xc = desc.gpow(tw, out_jet.coeff_code(i))
         if xc:
             level_exp[j - phi.lo] = [psi_exp[L.mul_code(xc, c)] for c in range(L.q)]
-    dens = 1
-    for v in phi.values:
-        dens = lcm(dens, *(c.denominator for c in v.coeffs))
-    rows = [[int(c * dens) for c in v.coeffs] + [0] for v in phi.values]
-    # int64 sums of the D rows stay exact while max|entry| * D < 2^62;
-    # past that, sum Python ints instead
-    bound = max(abs(c) for row in rows for c in row) * D
-    arr = np.array(rows, dtype=object if bound >= 1 << 62 else np.int64)
+    arr, dens = _values_to_int(phi.values, p)
+    # the sum of the D rows is exact in int64 only while it fits
+    arr = _int64_or_object(arr, D)
     if level_exp:
         exps = np.zeros(D, dtype=np.int64)
         idxs = np.arange(D)
@@ -1103,11 +1104,10 @@ def fourier_D_value(phi: AlgebraTestFunction, out_jet: AlgebraJet) -> CycScalar:
 def fourier_D(phi: AlgebraTestFunction) -> AlgebraTestFunction:
     """Full-table transform; output lives on the dual w-window.
 
-    Factorized exactly like the local jet transform: a levelwise character
-    transform over L contracted with integer einsum, then a gather through
-    the level bijection j <-> -n-j with its Galois twist."""
-    from .localfield import _char_kernel_tensors
-
+    Factorized exactly like the local jet transform, through the same
+    engine: a levelwise character transform over L on the integer table,
+    then a gather through the level bijection j <-> -n-j with its Galois
+    twist.  int64 while the sums fit, Python ints past that."""
     desc = phi.desc
     base, L = desc.base, desc.L
     p, n = base.p, desc.n
@@ -1115,45 +1115,22 @@ def fourier_D(phi: AlgebraTestFunction) -> AlgebraTestFunction:
     K = phi.hi - phi.lo
     Q = L.q
     D = Q**K
-    dens = 1
-    for v in phi.values:
-        dens = lcm(dens, *(c.denominator for c in v.coeffs))
-    arr = np.zeros((D, p), dtype=np.int64)
-    for idx, v in enumerate(phi.values):
-        for jj, c in enumerate(v.coeffs):
-            arr[idx, jj] = int(c * dens)
-    if int(np.abs(arr).max(initial=0)) * D * 4 >= 1 << 60:
-        raise OverflowError("table values too large for the integer fast path")
-    ker, _, _ = _char_kernel_tensors(desc.L_place_data())
-    work = arr.reshape(*([Q] * K), p)
-    for axis in range(K):
-        work = np.moveaxis(work, axis, 0)
-        shape = work.shape
-        flat = work.reshape(Q, -1, p)
-        flat = np.einsum("ayp,baqp->byq", flat, ker)
-        work = np.moveaxis(flat.reshape(shape), 0, axis)
-    g = work.reshape(D, p)
+    vol = Fraction(base.q) ** (-(desc.nu_D // 2) - phi.hi * desc.n)
+    arr, dens = _values_to_int(phi.values, p)
+    arr = _int64_or_object(arr, D * 4 * vol.numerator)
+    g = _contract_levels(arr, desc.L_place_data(), K, 1, 1).reshape(D, p)
 
     # output jet x -> u digits: u at input level j is g^(j mod n) of x's
     # digit at level -n-j
     gpow_tabs = [np.array(desc._gpow[i], dtype=np.int64) for i in range(n)]
-    digits = np.empty((D, K), dtype=np.int64)
-    idxs = np.arange(D)
-    for pos in range(K - 1, -1, -1):
-        digits[:, pos] = idxs % Q
-        idxs //= Q
+    digits = _digit_matrix(Q, K)
     g_idx = np.zeros(D, dtype=np.int64)
     for j in range(phi.lo, phi.hi):
         xpos = (-n - j) - lo_out
         u = gpow_tabs[j % n][digits[:, xpos]]
         g_idx = g_idx * Q + u
-    out = g[g_idx]
-    vol = Fraction(base.q) ** (-(desc.nu_D // 2) - phi.hi * desc.n)
-    dens_out = dens * vol.denominator
-    out = out * vol.numerator
-    values = [
-        cyc_normalize(p, [Fraction(int(c), dens_out) for c in row]) for row in out
-    ]
+    out = g[g_idx] * vol.numerator
+    values = _int_to_values(out, dens * vol.denominator, p)
     return AlgebraTestFunction(desc, lo_out, hi_out, values)
 
 

@@ -23,13 +23,16 @@ from .localfield import (
     _INT64_GUARD,
     JetVector,
     Window,
+    _check_transformable,
+    _generic_axis_transform,
     _IntRep,
     _rep_axis_transform,
+    _rep_to_values,
+    _to_rep,
     index_to_jet,
     jet_space_size,
     jet_to_index,
     ops_for,
-    transform_axis,
 )
 from .place import Place, place_data, places_up_to
 from .poly import Poly, RationalFn
@@ -270,48 +273,27 @@ class _AxisTable:
         self.axes[axis] = (pd, new_window)
         self.values = out
 
-    def transform(self, axis):
-        pd, w = self.axes[axis]
-        pre, _, post = self._strides(axis)
-        ops = ops_for(pd, self.mode)
-        self.values, dual = transform_axis(self.values, ops, pd, w, pre, post)
-        self.axes[axis] = (pd, dual)
-
     def transform_all(self):
-        """Transform every axis; the integer representation is carried
-        through the whole chain when it applies."""
-        from .localfield import (
-            _check_transformable,
-            _rep_axis_transform,
-            _rep_to_values,
-            _to_rep,
-        )
-
+        """Transform every axis: an exact table as one integer representation
+        carried through the whole chain, a symbolic one by direct sums."""
         for pd, w in self.axes:
             _check_transformable(pd, w)
-        if self.mode == "exact" and self.axes:
+        exact = self.mode == "exact"
+        if exact:
             p = self.axes[0][0].base.p
             rep = _to_rep(self.values, p)
-            if rep is not None:
-                duals = []
-                ok = True
-                for axis in range(len(self.axes)):
-                    pd, w = self.axes[axis]
-                    pre, _, post = self._strides(axis)
-                    out = _rep_axis_transform(rep, pd, w, pre, post)
-                    if out is None:
-                        ok = False
-                        break
-                    rep, dual = out
-                    duals.append(dual)
-                if ok:
-                    self.values = _rep_to_values(rep, p)
-                    self.axes = [
-                        (pd, dual) for (pd, _), dual in zip(self.axes, duals)
-                    ]
-                    return
-        for axis in range(len(self.axes)):
-            self.transform(axis)
+        duals = []
+        for axis, (pd, w) in enumerate(self.axes):
+            pre, _, post = self._strides(axis)
+            if exact:
+                rep, dual = _rep_axis_transform(rep, pd, w, pre, post)
+            else:
+                ops = ops_for(pd, self.mode)
+                self.values, dual = _generic_axis_transform(self.values, ops, pd, w, pre, post)
+            duals.append(dual)
+        if exact:
+            self.values = _rep_to_values(rep, p)
+        self.axes = [(pd, dual) for (pd, _), dual in zip(self.axes, duals)]
 
 
 # ---------------------------------------------------------------------------
@@ -842,27 +824,16 @@ def simple_coset_functions(field, places_list, max_window=Window(1, 1)):
 
 def _transform_counts(field, axes, counts: np.ndarray):
     """The placewise transform of an integer table, as (arr, den): arr[j]
-    over zeta^0..zeta^(p-1), every entry over the common denominator den.
-    int64 when each axis passes the guard of _rep_axis_transform; otherwise
-    the whole table goes through transform_axis and arr holds Fractions."""
-    p = field.p
-    arr = np.zeros((counts.size, p), dtype=np.int64)
+    over zeta^0..zeta^(p-1), every entry over the common denominator den;
+    int64 while the sums fit and Python ints past that."""
+    arr = np.zeros((counts.size, field.p), dtype=np.int64)
     arr[:, 0] = counts
     rep = _IntRep(arr, 1)
     sizes = [jet_space_size(pd, w) for pd, w in axes]
     for axis, (pd, w) in enumerate(axes):
         pre, post = _prod(sizes[:axis]), _prod(sizes[axis + 1 :])
-        out = _rep_axis_transform(rep, pd, w, pre, post)
-        if out is None:
-            break
-        rep = out[0]
-    else:
-        return rep.arr, rep.den
-    table = _AxisTable(axes, [CycScalar.rational(p, n) for n in counts.tolist()], "exact")
-    for axis in range(len(axes)):
-        table.transform(axis)
-    arr = np.array([list(v.coeffs) + [Fraction(0)] for v in table.values], dtype=object)
-    return arr, 1
+        rep = _rep_axis_transform(rep, pd, w, pre, post)[0]
+    return rep.arr, rep.den
 
 
 def _poisson_functionals(field, support, max_enum=1 << 20, check=None):

@@ -9,10 +9,12 @@ dense tables over jets; values are CycScalar (exact mode) or MotivicClass
 
 whose output window is (M - nu, N + nu); with this normalization the
 inversion F(F(phi))(x) = phi(-x) and the Riemann-Roch scalar in the global
-theory hold exactly.  Fast path: tables are converted to integer vectors
-over the zeta_p-power basis and contracted as numpy int64 tensors; this is
-exact integer arithmetic, falling back to pure-object arithmetic whenever
-values do not fit.
+theory hold exactly.  Exact-mode tables are converted to integer vectors
+over the zeta_p-power basis with one common denominator and contracted one
+jet axis at a time, by one matmul per level and a gather.  The arrays are
+numpy int64 while every sum provably fits, and object arrays of Python ints
+otherwise, through the same reshape/matmul/gather; symbolic tables take a
+direct double sum.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from math import lcm
 import numpy as np
 
 from .place import PlaceData
-from .scalars import CycScalar, FieldElem, cyc_normalize
+from .scalars import CycScalar, FieldElem
 
 _INT64_GUARD = 1 << 60
 
@@ -274,7 +276,14 @@ class SymbolicOps:
 
 
 def ops_for(pd: PlaceData, mode: str):
-    return ExactOps(pd) if mode == "exact" else SymbolicOps(pd)
+    """The value ring of a mode at a place, built once per place."""
+    cache = getattr(pd, "_ops_cache", None)
+    if cache is None:
+        cache = pd._ops_cache = {}
+    ops = cache.get(mode)
+    if ops is None:
+        ops = cache[mode] = ExactOps(pd) if mode == "exact" else SymbolicOps(pd)
+    return ops
 
 
 # -- the transform engine -------------------------------------------------------
@@ -330,33 +339,43 @@ def _digit_matrix(Q: int, K: int) -> np.ndarray:
 
 
 def _values_to_int(values, p: int):
-    """Common-denominator integer vectors over zeta^0..zeta^(p-1)."""
-    den = 1
-    for v in values:
-        for c in v.coeffs:
-            d = c.denominator
-            if d != 1 and den % d:
-                den = lcm(den, d)
-    arr = np.zeros((len(values), p), dtype=np.int64)
-    bound = 0
-    for i, v in enumerate(values):
-        for j, c in enumerate(v.coeffs):
-            n = c.numerator * (den // c.denominator)
-            arr[i, j] = n
-            if n > bound or -n > bound:
-                bound = abs(n)
-    return arr, den, bound
+    """Integer vectors over zeta^0..zeta^(p-1) with one common denominator:
+    (arr, den), arr int64 when every entry is below _INT64_GUARD and an
+    object array of Python ints otherwise."""
+    nums = [c.numerator for v in values for c in v.coeffs]
+    dens = [c.denominator for v in values for c in v.coeffs]
+    den = lcm(*set(dens))
+    if den != 1:
+        nums = [n * (den // d) for n, d in zip(nums, dens)]
+    try:
+        flat = np.array(nums, dtype=np.int64)
+    except OverflowError:
+        flat = np.array(nums, dtype=object)
+    arr = np.zeros((len(values), p), dtype=flat.dtype)
+    arr[:, : p - 1] = flat.reshape(len(values), p - 1)
+    return _int64_or_object(arr, 1), den
+
+
+def _int64_or_object(arr, factor: int):
+    """arr itself while factor * max|entry| stays below _INT64_GUARD, else
+    arr as Python ints: the guard that keeps int64 sums from wrapping."""
+    if arr.dtype == object:
+        return arr
+    bound = max(int(arr.max(initial=0)), -int(arr.min(initial=0)))
+    return arr if bound * factor < _INT64_GUARD else arr.astype(object)
 
 
 def _int_to_values(arr, den: int, p: int):
+    """Exact scalars of the rows of arr / den, one per distinct row."""
+    # reduce mod 1 + zeta + ... + zeta^(p-1) in integers, as cyc_normalize
+    # would, so rows equal in Q(zeta_p) share one memo entry
+    rows = (arr[:, : p - 1] - arr[:, p - 1 :]).tolist()
     memo: dict = {}
     out = []
-    for row in arr:
-        key = row.tobytes()
-        v = memo.get(key)
+    for row in map(tuple, rows):
+        v = memo.get(row)
         if v is None:
-            v = cyc_normalize(p, [Fraction(int(c), den) for c in row])
-            memo[key] = v
+            v = memo[row] = CycScalar(p, [Fraction(c, den) for c in row])
         out.append(v)
     return out
 
@@ -373,64 +392,76 @@ class _IntRep:
         self.den = den
 
 
-def _to_rep(values, p: int) -> _IntRep | None:
-    try:
-        arr, den, bound = _values_to_int(values, p)
-    except (OverflowError, ValueError):
-        return None
-    if bound >= _INT64_GUARD:
-        return None
-    return _IntRep(arr, den)
+def _to_rep(values, p: int) -> _IntRep:
+    return _IntRep(*_values_to_int(values, p))
 
 
 def _rep_to_values(rep: _IntRep, p: int):
     return _int_to_values(rep.arr, rep.den, p)
 
 
-def _rep_axis_transform(rep: _IntRep, pd: PlaceData, win: Window, pre: int, post: int):
-    """One jet-space axis of the integer table; returns (rep, dual) or None
-    when the intermediate could overflow int64."""
-    p = pd.base.p
-    nu = pd.nu
-    K = win.levels
-    dual = win.dual(nu)
-    Q = pd.ku.q
-    D = Q**K
-    bound = int(np.abs(rep.arr).max(initial=0))
-    if bound * (Q**K) * 4 >= _INT64_GUARD:
-        return None
-    ker, mul, add = _char_kernel_tensors(pd)
-    ker2 = getattr(pd, "_kernel_matmul", None)
-    if ker2 is None:
-        ker2 = pd._kernel_matmul = np.ascontiguousarray(
-            ker.transpose(1, 3, 0, 2).reshape(Q * p, Q * p)
-        )
-    work = rep.arr.reshape(pre, *([Q] * K), post, p)
+def _contract_levels(arr, pd: PlaceData, K: int, pre: int, post: int):
+    """The character transform over k_u on each of K level axes: arr, rows
+    over the zeta-power basis, viewed as (pre, Q, .., Q, post, p), becomes
+    G[.., b, ..] = sum_a arr[.., a, ..] psi(Tr(z_b z_a)) per level, shaped
+    (pre, Q**K, post, p).  The dtype of arr is kept, so the caller decides
+    whether int64 sums fit: each level multiplies max|entry| by Q."""
+    p, Q = pd.base.p, pd.ku.q
+    kernels = getattr(pd, "_kernel_matmul", None)
+    if kernels is None:
+        ker = _char_kernel_tensors(pd)[0]
+        ker2 = np.ascontiguousarray(ker.transpose(1, 3, 0, 2).reshape(Q * p, Q * p))
+        kernels = pd._kernel_matmul = {ker2.dtype: ker2, np.dtype(object): ker2.astype(object)}
+    ker2 = kernels[arr.dtype]
+    work = arr.reshape(pre, *([Q] * K), post, p)
     for axis in range(1, K + 1):
         work = np.moveaxis(work, axis, len(work.shape) - 2)
         shape = work.shape
         flat = work.reshape(-1, Q * p) @ ker2
         work = np.moveaxis(flat.reshape(shape), len(shape) - 2, axis)
-    g = work.reshape(pre, D, post, p)
+    return work.reshape(pre, Q**K, post, p)
 
-    # map output jets x to their dual coordinates u(x), then gather
-    W = pairing_matrix(pd, dual, win)
+
+def _dual_gather_index(pd: PlaceData, win: Window) -> np.ndarray:
+    """For each output jet x on the dual window, the index of the jet u(x)
+    with psi(r(x y)) = psi(Tr(u(x) . y)): where the transform reads G.
+    Cached on the place data per window."""
+    cache = getattr(pd, "_gather_cache", None)
+    if cache is None:
+        cache = pd._gather_cache = {}
+    got = cache.get(win)
+    if got is not None:
+        return got
+    _, mul, add = _char_kernel_tensors(pd)
+    Q, K = pd.ku.q, win.levels
+    W = pairing_matrix(pd, win.dual(pd.nu), win)
     digits = _digit_matrix(Q, K)
-    g_idx = np.zeros(D, dtype=np.int64)
+    g_idx = np.zeros(Q**K, dtype=np.int64)
     for jpos in range(K):
-        acc = np.zeros(D, dtype=np.int64)
+        acc = np.zeros(Q**K, dtype=np.int64)
         for ipos in range(K):
             code = W[ipos][jpos]
             if code:
                 acc = add[acc, mul[digits[:, ipos], code]]
         g_idx = g_idx * Q + acc
-    out = g[:, g_idx, :, :]
+    cache[win] = g_idx
+    return g_idx
 
-    scale = Fraction(pd.base.q) ** (pd.d * (nu // 2 - win.M))
-    den_out = rep.den * scale.denominator
+
+def _rep_axis_transform(rep: _IntRep, pd: PlaceData, win: Window, pre: int, post: int):
+    """One jet-space axis of the integer table; returns (rep, dual).  The
+    table runs in int64 while the sums provably fit and in Python ints
+    otherwise, through the same contraction."""
+    p = pd.base.p
+    K = win.levels
+    scale = Fraction(pd.base.q) ** (pd.d * (pd.nu // 2 - win.M))
+    arr = _int64_or_object(rep.arr, pd.ku.q**K * 4 * scale.numerator)
+    g = _contract_levels(arr, pd, K, pre, post)
+    out = g[:, _dual_gather_index(pd, win), :, :]
     if scale.numerator != 1:
         out = out * scale.numerator
-    return _IntRep(np.ascontiguousarray(out.reshape(-1, p)), den_out), dual
+    out = np.ascontiguousarray(out.reshape(-1, p))
+    return _IntRep(out, rep.den * scale.denominator), win.dual(pd.nu)
 
 
 def _generic_axis_transform(values, ops, pd: PlaceData, win: Window, pre: int, post: int):
@@ -491,18 +522,6 @@ def _check_transformable(pd: PlaceData, win: Window):
         )
     if pd.nu % 2 != 0:
         raise ValueError("odd duality exponent nu is not supported")
-
-
-def transform_axis(values, ops, pd: PlaceData, win: Window, pre: int, post: int):
-    _check_transformable(pd, win)
-    if ops.mode == "exact":
-        rep = _to_rep(values, pd.base.p)
-        if rep is not None:
-            fast = _rep_axis_transform(rep, pd, win, pre, post)
-            if fast is not None:
-                out_rep, dual = fast
-                return _rep_to_values(out_rep, pd.base.p), dual
-    return _generic_axis_transform(values, ops, pd, win, pre, post)
 
 
 # -- local test functions ---------------------------------------------------------
@@ -699,25 +718,12 @@ def fourier_multi(phi: LocalTestFunction) -> LocalTestFunction:
     D = jet_space_size(pd, win)
     dual = win.dual(pd.nu)
     if phi.mode == "exact":
-        rep = getattr(phi, "_int_rep", None)
-        if rep is None:
-            rep = _to_rep(phi.values, pd.base.p)
-        if rep is not None:
-            ok = True
-            for axis in range(phi.arity):
-                fast = _rep_axis_transform(
-                    rep, pd, win, D**axis, D ** (phi.arity - axis - 1)
-                )
-                if fast is None:
-                    ok = False
-                    break
-                rep = fast[0]
-            if ok:
-                out = LocalTestFunction(
-                    pd, dual, phi.arity, _rep_to_values(rep, pd.base.p), phi.mode
-                )
-                out._int_rep = rep
-                return out
+        rep = getattr(phi, "_int_rep", None) or _to_rep(phi.values, pd.base.p)
+        for axis in range(phi.arity):
+            rep = _rep_axis_transform(rep, pd, win, D**axis, D ** (phi.arity - axis - 1))[0]
+        out = LocalTestFunction(pd, dual, phi.arity, _rep_to_values(rep, pd.base.p), phi.mode)
+        out._int_rep = rep
+        return out
     ops = ops_for(pd, phi.mode)
     values = phi.values
     for axis in range(phi.arity):

@@ -235,10 +235,6 @@ class ConstructibleSet:
         return "{" + "; ".join(bits) + "}"
 
 
-def enumerate_points(X: ConstructibleSet, d: int = 1):
-    return X.points(d)
-
-
 # ---------------------------------------------------------------------------
 # Motivic classes
 # ---------------------------------------------------------------------------

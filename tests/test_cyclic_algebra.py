@@ -381,6 +381,19 @@ def test_fourier_D_value_exact_past_int64():
     assert value == CycScalar.rational(2, big * 512 * vol)
 
 
+def test_fourier_D_past_int64_matches_value():
+    # every sum of the constant 2^61 table overflows int64; fourier_D must
+    # switch to Python ints and agree with the pointwise transform
+    big = 2**61
+    phi = AlgebraTestFunction(D3, 0, 3, [CycScalar.rational(2, big)] * 512)
+    full = fourier_D(phi)
+    rng = random.Random(12)
+    for k in [0, 1, 511] + [rng.randrange(512) for _ in range(5)]:
+        jet = jet_from_index(D3, full.lo, full.hi, k)
+        assert fourier_D_value(phi, jet) == full.values[k]
+    assert fourier_D(full).table_equal(phi)  # char 2: -x = x
+
+
 def test_fourier_D_invariance_transport():
     rng = random.Random(10)
     phi = invariant_fn(D3, RecipePsiTrace(), Window(0, 1))

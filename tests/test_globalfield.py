@@ -168,12 +168,12 @@ def test_delta_K_linearity():
 
 
 def test_delta_K_budget():
-    phi = indicator_everywhere_integral(F2, [INF2])
+    # L(12 [inf]) has 2^13 members, over the budget of 2^10
+    win = Window(12, 1)
+    big = GlobalTestFunction(
+        F2, [(INF2, win)], 1, [CycScalar.one(2)] * jet_space_size(place_data(INF2), win)
+    )
     with pytest.raises(BudgetExceededError):
-        big = GlobalTestFunction(
-            F2, [(INF2, Window(25, 1))], 1,
-            [CycScalar.one(2)] * jet_space_size(place_data(INF2), Window(25, 1)),
-        )
         delta_K(big, max_enum=1 << 10)
 
 
@@ -290,6 +290,14 @@ def test_global_fourier_zero():
     vals = [CycScalar.zero(2)] * 4
     phi = GlobalTestFunction(F2, [(P0, Window(1, 1))], 1, vals)
     assert all(v.is_zero() for v in global_fourier(phi).values)
+
+
+def test_global_fourier_symbolic_specializes_to_exact():
+    # symbolic tables take the direct sums, exact ones the integer engine
+    exact = global_fourier(indicator_everywhere_integral(F2, [P0, PI2]))
+    sym = global_fourier(indicator_everywhere_integral(F2, [P0, PI2], mode="symbolic"))
+    assert sym.support() == exact.support()
+    assert [v.specialize(1) for v in sym.values] == exact.values
 
 
 def test_global_double_transform_is_flip():

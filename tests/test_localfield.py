@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from ffpoisson import localfield
 from ffpoisson.localfield import (
     JetVector,
     LocalTestFunction,
     Window,
+    _generic_axis_transform,
     alpha_decode,
     alpha_encode,
     extend_zero,
@@ -17,6 +20,7 @@ from ffpoisson.localfield import (
     integrate,
     jet_space_size,
     jet_to_index,
+    ops_for,
     refine,
     residue,
     residue_pair,
@@ -306,6 +310,87 @@ def test_fourier_multi_matches_direct():
     vals = [CycScalar.rational(2, rng.randrange(-2, 3)) for _ in range(D * D)]
     phi = LocalTestFunction(pd, win, 2, vals)
     assert fourier_multi(phi).table_equal(fourier_direct(phi))
+
+
+def _big_table(p, size, kind, seed):
+    """wide: positive integers of 2^58..2^59, which fit int64 while their
+    sums over 16 or more jets do not; huge: numerators past 2^63 over
+    non-unit denominators."""
+    rng = random.Random(seed)
+    vals = []
+    for _ in range(size):
+        coeffs = []
+        for _ in range(p - 1):
+            if rng.randrange(4) == 0:
+                coeffs.append(Fraction(0))
+            elif kind == "wide":
+                coeffs.append(Fraction(rng.randrange(2**58, 2**59)))
+            else:
+                num = rng.choice((-1, 1)) * rng.randrange(2**62, 2**65)
+                coeffs.append(Fraction(num, rng.choice((3, 5, 7, 9))))
+        vals.append(CycScalar(p, coeffs))
+    vals[0] = CycScalar.rational(p, 2**58 if kind == "wide" else Fraction(2**64 + 1, 3))
+    return vals
+
+
+def _generic_exact(phi):
+    ops = ops_for(phi.pd, "exact")
+    D = jet_space_size(phi.pd, phi.window)
+    values = phi.values
+    for axis in range(phi.arity):
+        values, dual = _generic_axis_transform(
+            values, ops, phi.pd, phi.window, D**axis, D ** (phi.arity - axis - 1)
+        )
+    return LocalTestFunction(phi.pd, dual, phi.arity, values)
+
+
+@pytest.mark.parametrize(
+    "p,d,nu,win,arity,kind",
+    [
+        (2, 1, 0, Window(1, 1), 1, "wide"),
+        (2, 1, 0, Window(1, 1), 1, "huge"),
+        (3, 1, 0, Window(1, 1), 1, "wide"),
+        (3, 1, 0, Window(1, 1), 1, "huge"),
+        (2, 2, 2, Window(0, 2), 1, "wide"),
+        (2, 1, 0, Window(1, 1), 2, "wide"),
+        (2, 1, 0, Window(1, 1), 2, "huge"),
+        (3, 1, 0, Window(0, 1), 2, "huge"),
+        (3, 1, 0, Window(1, 1), 2, "wide"),
+    ],
+)
+def test_fourier_past_int64_matches_oracles(p, d, nu, win, arity, kind):
+    pd = synth(make_field(p), d, nu)
+    D = jet_space_size(pd, win)
+    phi = LocalTestFunction(pd, win, arity, _big_table(p, D**arity, kind, seed=D + arity))
+    out = fourier_multi(phi)
+    assert out.table_equal(fourier_direct(phi))
+    assert out.table_equal(_generic_exact(phi))
+    back = fourier_multi(out)
+    assert back.window == win
+    for idx in range(D**arity):
+        jets = [index_to_jet(pd, win, (idx // D ** (arity - 1 - k)) % D) for k in range(arity)]
+        assert back.value_at(*jets) == phi.value_at(*[-j for j in jets])
+
+
+def test_fourier_switches_to_python_ints_between_axes(monkeypatch):
+    # 2^55 fits the first axis's guard (2^55 * 4 jets * 4 < 2^60); the
+    # transformed constant is 2^57 at one jet, which trips the second's
+    pd = synth(F2, 1, 0)
+    win = Window(1, 1)
+    phi = LocalTestFunction(pd, win, 2, [CycScalar.rational(2, 2**55)] * 16)
+    dtypes = []
+    contract = localfield._contract_levels
+
+    def spy(arr, *args):
+        dtypes.append(arr.dtype)
+        return contract(arr, *args)
+
+    monkeypatch.setattr(localfield, "_contract_levels", spy)
+    out = fourier_multi(phi)
+    assert dtypes == [np.dtype(np.int64), np.dtype(object)]
+    assert out.table_equal(fourier_direct(phi))
+    assert out.table_equal(_generic_exact(phi))
+    assert fourier_multi(out).table_equal(phi)  # char 2: -x = x
 
 
 def test_fourier_multi_zero():

@@ -10,7 +10,6 @@ from ffpoisson.motivic import (
     MPoly,
     MotivicClass,
     closed_points,
-    enumerate_points,
     euler_product,
     frobenius_orbit,
     indistinguishable_up_to,
@@ -21,6 +20,10 @@ from ffpoisson.scalars import CycScalar, cyc_normalize, make_field, psi
 
 F2 = make_field(2)
 F3 = make_field(3)
+
+
+def enumerate_points(X: ConstructibleSet, d: int = 1):
+    return X.points(d)
 
 
 def var(field, nvars=1, i=0):
