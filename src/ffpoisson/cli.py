@@ -4,7 +4,8 @@ Subcommands: charsum, euler, local-fourier, poisson, alg-check, theorem-a.
 Reports are JSON (optionally a CSV summary) with the full configuration,
 library version, and exact values embedded; identical configurations give
 byte-identical reports, and the exit code is 0 only if every equality flag
-in the run is true.  No floating point appears anywhere.
+in the run is true; a run whose checks compare nothing reports
+``all_equal: null`` and exits 4.  No floating point appears anywhere.
 """
 
 from __future__ import annotations
@@ -220,6 +221,16 @@ def _value_json(v) -> object:
     return v
 
 
+# exit code of a run whose checks compared nothing: neither a pass nor a fail
+EXIT_NOTHING_COMPARED = 4
+
+
+def _verdict(flags) -> bool | None:
+    """all(flags), or None when there is nothing to compare."""
+    flags = list(flags)
+    return all(flags) if flags else None
+
+
 def emit_report(report: dict, args) -> int:
     text = json.dumps(report, indent=2, sort_keys=True, default=_value_json)
     if args.out:
@@ -242,7 +253,12 @@ def emit_report(report: dict, args) -> int:
                 fh.write(csv_text)
         else:
             sys.stdout.write(csv_text)
-    return 0 if report.get("all_equal", True) else 1
+    # reports without an "all_equal" verdict (charsum, local-fourier without
+    # --check-inversion) only compute values
+    verdict = report.get("all_equal", True)
+    if verdict is None:
+        return EXIT_NOTHING_COMPARED
+    return 0 if verdict else 1
 
 
 def base_report(command: str, args, keys: list[str]) -> dict:
@@ -300,13 +316,12 @@ def cmd_euler(args) -> int:
     else:
         raise ParseError("family must be one, zero, or psi:<poly>")
     lhs, rhs = euler_product(X, fam, args.precision)
-    equal = all(a == b for a, b in zip(lhs, rhs))
     report = base_report("euler", args, ["p", "e", "set", "family", "precision"])
     report["rows"] = [
         {"t_power": k, "lhs": _value_json(a), "rhs": _value_json(b), "equal": a == b}
         for k, (a, b) in enumerate(zip(lhs, rhs))
     ]
-    report["all_equal"] = equal
+    report["all_equal"] = _verdict(row["equal"] for row in report["rows"])
     return emit_report(report, args)
 
 
@@ -451,7 +466,6 @@ def _pq_split(q: int) -> tuple[int, int]:
 def cmd_poisson(args) -> int:
     field = make_field(args.p, args.e)
     rows = []
-    all_equal = True
     if args.infile:
         phi = global_fn_from_json(field, _read_json(args.infile))
         rep = poisson_report(phi, args.max_enum)
@@ -463,28 +477,25 @@ def cmd_poisson(args) -> int:
                 "equal": rep["equal"],
             }
         )
-        all_equal = rep["equal"]
     else:
         places = [parse_place(s, field) for s in args.places.split(";")]
         win = parse_window(args.window)
         watchdog = _Watchdog(args.timeout)
         family = poisson_family(field, places, win, args.max_enum, watchdog.check)
         for label, lhs, rhs in family:
-            equal = lhs == rhs
             rows.append(
                 {
                     "function": label,
                     "lhs": _value_json(lhs),
                     "rhs": _value_json(rhs),
-                    "equal": equal,
+                    "equal": lhs == rhs,
                 }
             )
-            all_equal = all_equal and equal
     report = base_report(
         "poisson", args, ["p", "e", "places", "window", "max_enum"]
     )
     report["rows"] = rows
-    report["all_equal"] = all_equal
+    report["all_equal"] = _verdict(row["equal"] for row in rows)
     return emit_report(report, args)
 
 
@@ -518,12 +529,15 @@ def cmd_alg_check(args) -> int:
             "check": "w_valuation additive",
             "pairs_checked": checked,
             "violations": violations,
-            "equal": violations == 0,
+            # no pair checked: the row compares nothing
+            "equal": violations == 0 if checked else None,
         },
         {"check": "charpoly(s) = X^n - t", "equal": cp_ok},
         {"check": "Nrd(s) = t", "equal": nrd_ok},
     ]
-    report["all_equal"] = violations == 0 and cp_ok and nrd_ok
+    report["all_equal"] = _verdict(
+        row["equal"] for row in report["rows"] if row["equal"] is not None
+    )
     return emit_report(report, args)
 
 
@@ -547,7 +561,6 @@ def cmd_theorem_a(args) -> int:
         else:
             raise ParseError(f"unknown recipe {name!r}")
     rows = []
-    all_equal = True
     watchdog = _Watchdog(args.timeout)
     for recipe in recipes:
         watchdog.check(f"recipe {recipe.name}")
@@ -556,7 +569,6 @@ def cmd_theorem_a(args) -> int:
             if "value_D" in out:
                 out["value_D"] = _value_json(out["value_D"])
                 out["value_D_dot"] = _value_json(out["value_D_dot"])
-                all_equal = all_equal and out["equal"]
             rows.append(out)
     report = base_report(
         "theorem-a",
@@ -564,7 +576,8 @@ def cmd_theorem_a(args) -> int:
         ["p", "e", "n", "exponents", "recipes", "window", "pairs", "seed"],
     )
     report["rows"] = rows
-    report["all_equal"] = all_equal
+    # rows of pairs that are not regular semisimple carry no "equal" flag
+    report["all_equal"] = _verdict(row["equal"] for row in rows if "equal" in row)
     return emit_report(report, args)
 
 

@@ -38,7 +38,6 @@ from .scalars import (
     CycScalar,
     FieldDescriptor,
     FieldElem,
-    cyc_normalize,
     make_field,
     trace,
 )
@@ -88,7 +87,8 @@ class AlgebraDescriptor:
         self._pd0 = place_data(Place.at(base, 0))
         self._L_pd: PlaceData | None = None
         self._nu_D: int | None = None
-        self._records: dict[int, list[int]] = {}
+        self._records: dict[int, np.ndarray] = {}
+        self._lops: _LCodeOps | None = None
 
     # -- L-coordinates over F_q ---------------------------------------------------
 
@@ -324,20 +324,17 @@ def _embed_rational(f: RationalFn, big: FieldDescriptor) -> RationalFn:
 
 def splitting_matrix(x: AlgebraElement):
     """The image of x in M_n over L(t): L acts by its conjugates on the
-    diagonal and s by the cyclic shift with a single t entry."""
+    diagonal and s by the cyclic shift with a single t entry.
+
+    With P: v_c -> lambda_c v_{c-1}, lambda_0 = t, the power P^i has one
+    entry per row r, at column (r + i) mod n, equal to t if r + i >= n and
+    to 1 otherwise; u_i s^i contributes the r-th conjugate of u_i there."""
     desc = x.desc
     n, L = desc.n, desc.L
     zero = RationalFn.zero(L)
     t = RationalFn.t(L)
-    # P: v_c -> lambda_c v_{c-1}, lambda_0 = t
-    P = [[zero for _ in range(n)] for _ in range(n)]
-    for c in range(n):
-        lam = t if c == 0 else RationalFn.one(L)
-        P[(c - 1) % n][c] = lam
-    eye = [[RationalFn.one(L) if r == c else zero for c in range(n)] for r in range(n)]
-    Ppow = eye
     out = [[zero for _ in range(n)] for _ in range(n)]
-    for i in range(desc.n):
+    for i in range(n):
         # diagonal of conjugates of u_i = sum_j x[i][j] d_j
         diag = []
         for r in range(n):
@@ -351,12 +348,7 @@ def splitting_matrix(x: AlgebraElement):
                     )
             diag.append(acc)
         for r in range(n):
-            if diag[r].is_zero():
-                continue
-            for c in range(n):
-                if not Ppow[r][c].is_zero():
-                    out[r][c] = out[r][c] + diag[r] * Ppow[r][c]
-        Ppow = linalg.mat_mul(Ppow, P)
+            out[r][(r + i) % n] = diag[r] * t if r + i >= n else diag[r]
     return out
 
 
@@ -759,109 +751,104 @@ def random_unit_jet(desc: AlgebraDescriptor, hi: int, rng) -> AlgebraJet:
 # ---------------------------------------------------------------------------
 
 
-def _tpoly_mul(desc, a, b, M):
-    """Product in L[t]/t^M on tuples of L-codes."""
-    L = desc.L
-    out = [0] * M
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if i + j >= M:
-                    break
-                if y:
-                    out[i + j] = L.add_code(out[i + j], L.mul_code(x, y))
-    return tuple(out)
+# jets per batch of the record computation: bounds its working arrays
+_RECORD_CHUNK = 1 << 14
+# records stay int64 while (K + 1) * q^(n M), a bound on every record, is
+# below this; past it they are Python ints
+_RECORD_LIMIT = 1 << 63
 
 
-def _tpoly_add(desc, a, b):
-    L = desc.L
-    return tuple(L.add_code(x, y) for x, y in zip(a, b))
+class _LCodeOps:
+    """add, mul and neg on numpy arrays of L-codes: gathers from L's dense
+    tables, or, where L is too large to carry them, the field's own code
+    arithmetic element by element."""
 
+    def __init__(self, L: FieldDescriptor):
+        L._ensure_tables()
+        if L._mul_table is not None:
+            Q = L.q
+            add, mul, neg = (
+                np.array(t, dtype=np.int64) for t in (L._add_table, L._mul_table, L._neg_table)
+            )
+            self.add = lambda a, b: add[a * Q + b]
+            self.mul = lambda a, b: mul[a * Q + b]
+            self.neg = lambda a: neg[a]
+        else:
+            add, mul = np.frompyfunc(L.add_code, 2, 1), np.frompyfunc(L.mul_code, 2, 1)
+            neg = np.frompyfunc(L.neg_code, 1, 1)
+            self.add = lambda a, b: add(a, b).astype(np.int64)
+            self.mul = lambda a, b: mul(a, b).astype(np.int64)
+            self.neg = lambda a: neg(a).astype(np.int64)
 
-def _tpoly_neg(desc, a):
-    L = desc.L
-    return tuple(L.neg_code(x) for x in a)
-
-
-def charpoly_jet(desc: AlgebraDescriptor, jet: AlgebraJet, M: int):
-    """Reduced characteristic polynomial of an S_0/t^M jet, as descended
-    F_q[t]/t^M coefficient tuples (c_0, .., c_{n-1}); X^n is monic."""
-    n, L = desc.n, desc.L
-    if jet.lo < 0:
-        raise ValueError("characteristic-polynomial jets need integral elements")
-    # s-adic digits -> u_i in L[t]/t^M
-    u = [[0] * M for _ in range(n)]
-    for k in range(jet.lo, min(jet.hi, n * M)):
-        c = jet.coeff_code(k)
-        if c:
-            u[k % n][k // n] = c
-    zero = (0,) * M
-    one = (1,) + (0,) * (M - 1) if M > 0 else ()
-    tpow = [(0,) * e + (1,) + (0,) * (M - e - 1) if e < M else zero for e in range(2 * n)]
-    # matrix entries: A[r][c] = g^r(u_i) * tau(r, c) with i = (c - r) mod n,
-    # tau the t-power carried by the shift matrix s^i
-    A = [[zero for _ in range(n)] for _ in range(n)]
-    for r in range(n):
-        for c in range(n):
-            i = (c - r) % n
-            ui = u[i]
-            if not any(ui):
-                continue
-            conj = tuple(desc.gpow(r, code) for code in ui)
-            # s^i maps v_c back to v_{c-i}; the t factor appears once for
-            # each pass of the lambda_0 = t step, i.e. when c - i < 0
-            e = 1 if c - i < 0 else 0
-            A[r][c] = _tpoly_mul(desc, conj, tpow[e], M) if e else tuple(conj)
-    # char poly by Leibniz over the commutative ring L[t]/t^M
-    coeffs = [zero] * (n + 1)
-
-    def xmul(p1, p2):
-        out = [zero] * (len(p1) + len(p2) - 1)
-        for i1, a1 in enumerate(p1):
-            if any(a1):
-                for i2, a2 in enumerate(p2):
-                    if any(a2):
-                        out[i1 + i2] = _tpoly_add(desc, out[i1 + i2], _tpoly_mul(desc, a1, a2, M))
+    def tmul(self, a, b):
+        """Products in L[t]/t^M of the rows of two (B, M) arrays."""
+        M = a.shape[1]
+        out = np.zeros_like(a)
+        for i in range(M):
+            for j in range(M - i):
+                out[:, i + j] = self.add(out[:, i + j], self.mul(a[:, i], b[:, j]))
         return out
 
-    total = None
-    for perm in itertools.permutations(range(n)):
-        sign = _perm_sign(perm)
-        prod = [one]
-        ok = True
-        for r in range(n):
-            c = perm[r]
-            entry = [_tpoly_neg(desc, A[r][c]), one] if r == c else [_tpoly_neg(desc, A[r][c])]
-            if len(entry) == 1 and not any(entry[0]):
-                ok = False
-                break
-            prod = xmul(prod, entry)
-        if not ok:
-            continue
-        if sign < 0:
-            prod = [_tpoly_neg(desc, p) for p in prod]
-        if total is None:
-            total = prod + [zero] * (n + 1 - len(prod))
-        else:
-            prod = prod + [zero] * (n + 1 - len(prod))
-            total = [_tpoly_add(desc, a, b) for a, b in zip(total, prod)]
-    if total is None:
-        total = [zero] * (n + 1)
-        total[n] = one
-    # descend every coefficient to F_q
-    sub = desc.base
-    out = []
-    for xdeg in range(n):
-        codes = []
-        for ccode in total[xdeg]:
-            codes.append(L.section(L.from_code(ccode), sub).code)
-        out.append(tuple(codes))
-    return tuple(out)
 
+def _charpoly_records(desc: AlgebraDescriptor, M: int, digits: np.ndarray) -> np.ndarray:
+    """Encoded (charpoly mod t^M, w-class) records of a batch of S_0/t^M
+    jets, given as a (B, n M) array of L-codes by level.
 
-def _w_class(jet: AlgebraJet, cap: int) -> int:
-    w = w_valuation(jet)
-    return cap if w is None else min(w, cap)
+    The jet sum_k c_k s^k has s-adic coefficients u_i = sum_m c_{nm+i} t^m,
+    and its splitting matrix has A[r][c] = g^r(u_i) with i = (c - r) mod n,
+    times the t of s^n = t below the diagonal.  Coefficient X^(n-k) of the
+    characteristic polynomial is (-1)^k times the sum of the principal
+    k x k minors, each expanded by Leibniz over L[t]/t^M; a term with M or
+    more factors below the diagonal is divisible by t^M and dropped."""
+    n, q = desc.n, desc.base.q
+    L = desc.L
+    ops = desc._lops
+    if ops is None:
+        ops = desc._lops = _LCodeOps(L)
+    B, K = digits.shape
+    # tw[r, :, k] = g^r of the level-k digit
+    tw = np.asarray(desc._gpow, dtype=np.int64)[:, digits]
+    A = {}
+    for r in range(n):
+        for c in range(n):
+            entry = tw[r, :, (c - r) % n :: n]
+            if c < r:
+                entry, shifted = np.zeros_like(entry), entry
+                entry[:, 1:] = shifted[:, :-1]
+            A[r, c] = entry
+    coeffs = np.zeros((B, n, M), dtype=np.int64)
+    for k in range(1, n + 1):
+        total = np.zeros((B, M), dtype=np.int64)
+        for rows in itertools.combinations(range(n), k):
+            for cols in itertools.permutations(rows):
+                if sum(c < r for r, c in zip(rows, cols)) >= M:
+                    continue
+                term = A[rows[0], cols[0]]
+                for r, c in zip(rows[1:], cols[1:]):
+                    term = ops.tmul(term, A[r, c])
+                if (k + (_perm_sign([rows.index(c) for c in cols]) < 0)) % 2:
+                    term = ops.neg(term)
+                total = ops.add(total, term)
+        coeffs[:, n - k] = total
+    # descend every coefficient to F_q through one section table
+    section = np.full(L.q, -1, dtype=np.int64)
+    section[L._embedding_table(desc.base)] = np.arange(q)
+    down = section[coeffs]
+    if (down < 0).any():
+        raise RuntimeError(
+            "reduced characteristic polynomial fails Galois descent; internal fault"
+        )
+    # the w-class: the level of the first nonzero digit, K for the zero jet
+    w = np.full(B, K, dtype=np.int64)
+    for k in range(K - 1, -1, -1):
+        w[digits[:, k] != 0] = k
+    if (K + 1) * q ** (n * M) >= _RECORD_LIMIT:
+        w, down = w.astype(object), down.astype(object)
+    rec = w
+    for j in range(n):
+        for m in range(M):
+            rec = rec * q + down[:, j, m]
+    return rec
 
 
 def jet_from_index(desc: AlgebraDescriptor, lo: int, hi: int, idx: int) -> AlgebraJet:
@@ -883,29 +870,24 @@ def jet_index(jet: AlgebraJet) -> int:
     return idx
 
 
-def invariant_records(desc: AlgebraDescriptor, M: int) -> list[int]:
-    """Per jet of S_0/t^M S_0: an encoded (charpoly mod t^M, w-class) record.
+def invariant_records(desc: AlgebraDescriptor, M: int) -> np.ndarray:
+    """Per jet of S_0/t^M S_0, in jet_index order: an encoded
+    (charpoly mod t^M, w-class) record.
 
     Encoding: base-q digits of the descended charpoly coefficients followed
     by the w-class; identical records across the two forms correspond to
-    matching invariant data."""
-    if M in desc._records:
-        return desc._records[M]
-    n, q = desc.n, desc.base.q
-    K = n * M
-    D = desc.L.q**K
-    cap = K
-    out = []
-    for idx in range(D):
-        jet = jet_from_index(desc, 0, K, idx)
-        cp = charpoly_jet(desc, jet, M)
-        rec = _w_class(jet, cap)
-        for coeff in cp:
-            for code in coeff:
-                rec = rec * q + code
-        out.append(rec)
-    desc._records[M] = out
-    return out
+    matching invariant data.  int64 below _RECORD_LIMIT, else Python ints."""
+    records = desc._records.get(M)
+    if records is None:
+        digits = _digit_matrix(desc.L.q, desc.n * M)
+        records = np.concatenate(
+            [
+                _charpoly_records(desc, M, digits[lo : lo + _RECORD_CHUNK])
+                for lo in range(0, len(digits), _RECORD_CHUNK)
+            ]
+        )
+        desc._records[M] = records
+    return records
 
 
 def decode_record(desc: AlgebraDescriptor, M: int, rec: int):
@@ -981,7 +963,8 @@ class RecipeCharPolyCoset(InvariantRecipe):
 def target_s_charpoly(desc: AlgebraDescriptor, M: int):
     """The charpoly jet of s itself: X^n - t, as descended coefficient tuples."""
     jet = element_to_jet(AlgebraElement.s(desc), 0, desc.n * M)
-    return charpoly_jet(desc, jet, M)
+    rec = _charpoly_records(desc, M, np.array([jet.codes], dtype=np.int64))[0]
+    return decode_record(desc, M, int(rec))[0]
 
 
 class AlgebraTestFunction:
@@ -1018,15 +1001,13 @@ def invariant_fn(desc: AlgebraDescriptor, recipe: InvariantRecipe, window) -> Al
     if window.N != 0:
         raise ValueError("invariant recipes live on S_0: window must have N = 0")
     M = window.M
-    records = invariant_records(desc, M)
-    cache: dict[int, CycScalar] = {}
+    by_record: dict[int, CycScalar] = {}
     values = []
-    for rec in records:
-        v = cache.get(rec)
+    for rec in invariant_records(desc, M).tolist():
+        v = by_record.get(rec)
         if v is None:
             cp, w = decode_record(desc, M, rec)
-            v = recipe.value(cp, w, desc, M)
-            cache[rec] = v
+            v = by_record[rec] = recipe.value(cp, w, desc, M)
         values.append(v)
     return AlgebraTestFunction(desc, 0, desc.n * M, values)
 
@@ -1042,63 +1023,6 @@ def dual_jet_window(desc, lo, hi) -> tuple[int, int]:
     of the window [lo, hi) is [1-n-hi, 1-n-lo)."""
     n = desc.n
     return (1 - n - hi, 1 - n - lo)
-
-
-def _pair_exponent_tables(desc, lo_out, hi_out, lo_in, hi_in):
-    """For B(x, y) = Tr (x y)_{-n}: per input level j the x-level -n-j and
-    the Galois twist g^(j mod n) applied to x's digit."""
-    n = desc.n
-    out = []
-    for j in range(lo_in, hi_in):
-        i = -n - j
-        if lo_out <= i < hi_out:
-            out.append((j, i, j % n))
-    return out
-
-
-def fourier_D_value(phi: AlgebraTestFunction, out_jet: AlgebraJet) -> CycScalar:
-    """F(phi)(x) = vol * sum_y phi(y) psi(Tr (x y)_{-n}) at one point x."""
-    desc = phi.desc
-    base, L = desc.base, desc.L
-    p = base.p
-    lo_out, hi_out = dual_jet_window(desc, phi.lo, phi.hi)
-    if out_jet.lo != lo_out or out_jet.hi != hi_out:
-        raise ValueError(
-            f"evaluation point must live on the dual window [{lo_out},{hi_out})"
-        )
-    K = phi.hi - phi.lo
-    D = L.q**K
-    Lpd = desc.L_place_data()
-    psi_exp = Lpd.psi_exponents
-    pairs = _pair_exponent_tables(desc, lo_out, hi_out, phi.lo, phi.hi)
-    # per input level: exponent table over digit codes
-    level_exp = {}
-    for j, i, tw in pairs:
-        xc = desc.gpow(tw, out_jet.coeff_code(i))
-        if xc:
-            level_exp[j - phi.lo] = [psi_exp[L.mul_code(xc, c)] for c in range(L.q)]
-    arr, dens = _values_to_int(phi.values, p)
-    # the sum of the D rows is exact in int64 only while it fits
-    arr = _int64_or_object(arr, D)
-    if level_exp:
-        exps = np.zeros(D, dtype=np.int64)
-        idxs = np.arange(D)
-        for pos in range(K - 1, -1, -1):
-            digit = idxs % L.q
-            idxs = idxs // L.q
-            tab = level_exp.get(pos)
-            if tab is not None:
-                exps += np.asarray(tab, dtype=np.int64)[digit]
-        exps %= p
-    else:
-        exps = np.zeros(D, dtype=np.int64)
-    total = np.zeros(p, dtype=arr.dtype)
-    for r in range(p):
-        sel = arr[exps == r]
-        if len(sel):
-            total += np.roll(sel.sum(axis=0), r)
-    vol = Fraction(base.q) ** (-(desc.nu_D // 2) - phi.hi * desc.n)
-    return cyc_normalize(p, [Fraction(int(c), dens) for c in total]) * vol
 
 
 def fourier_D(phi: AlgebraTestFunction) -> AlgebraTestFunction:
@@ -1140,9 +1064,10 @@ def fourier_D(phi: AlgebraTestFunction) -> AlgebraTestFunction:
 
 
 class MatchedPair:
-    """Elements of the two forms with identical reduced char polynomials."""
+    """Elements of the two forms with identical reduced char polynomials;
+    `regular` records whether that polynomial is squarefree."""
 
-    __slots__ = ("c", "c_dot", "provenance", "charpoly")
+    __slots__ = ("c", "c_dot", "provenance", "charpoly", "regular")
 
     def __init__(self, c: AlgebraElement, c_dot: AlgebraElement, provenance: str):
         self.c = c
@@ -1153,10 +1078,10 @@ class MatchedPair:
         if cp != cp_dot:
             raise ValueError("matched pair has differing characteristic polynomials")
         self.charpoly = cp
+        self.regular = cp.gcd(cp.derivative()).degree == 0
 
     def is_regular_semisimple(self) -> bool:
-        g = self.charpoly.gcd(self.charpoly.derivative())
-        return g.degree == 0
+        return self.regular
 
     def __repr__(self):
         return f"MatchedPair({self.provenance})"
@@ -1194,28 +1119,21 @@ def theorem_a_report(
     window,
 ) -> list[dict]:
     """Per pair: the two transform values at the matched points, compared
-    exactly.  Non-regular pairs are reported and skipped."""
-    phi = invariant_fn(desc, recipe, window)
-    phi_dot = invariant_fn(desc_dot, recipe, window)
-    lo_out, hi_out = dual_jet_window(desc, phi.lo, phi.hi)
-    value_cache: dict[tuple[int, int], CycScalar] = {}
+    exactly.  Each form's table is transformed once and read at the pair's
+    jets.  Non-regular pairs are reported and skipped."""
+    F = F_dot = None
     rows = []
     for k, pair in enumerate(pairs):
         row = {"pair": k, "provenance": pair.provenance, "recipe": recipe.name}
-        if not pair.is_regular_semisimple():
+        if not pair.regular:
             row["status"] = "skipped: not regular semisimple"
             rows.append(row)
             continue
-        jc = element_to_jet(pair.c, lo_out, hi_out)
-        jd = element_to_jet(pair.c_dot, lo_out, hi_out)
-        key = (0, jet_index(jc))
-        if key not in value_cache:
-            value_cache[key] = fourier_D_value(phi, jc)
-        v = value_cache[key]
-        key_dot = (1, jet_index(jd))
-        if key_dot not in value_cache:
-            value_cache[key_dot] = fourier_D_value(phi_dot, jd)
-        v_dot = value_cache[key_dot]
+        if F is None:
+            F = fourier_D(invariant_fn(desc, recipe, window))
+            F_dot = fourier_D(invariant_fn(desc_dot, recipe, window))
+        v = F.value_at(element_to_jet(pair.c, F.lo, F.hi))
+        v_dot = F_dot.value_at(element_to_jet(pair.c_dot, F.lo, F.hi))
         row.update(
             {
                 "status": "ok",
@@ -1232,12 +1150,17 @@ def theorem_a_report(
 def default_pair_list(
     desc: AlgebraDescriptor, desc_dot: AlgebraDescriptor, count: int = 20, seed: int = 1
 ) -> list[MatchedPair]:
-    """b s pairs for every b in L^*, then deterministic L-common elements."""
+    """Up to count regular semisimple pairs: b s pairs for b in L^* in code
+    order, then deterministic L-common elements."""
     import random
 
-    pairs = [
-        matched_pair(desc, desc_dot, desc.L.from_code(c)) for c in range(1, desc.L.q)
-    ]
+    pairs = []
+    for code in range(1, desc.L.q):
+        if len(pairs) >= count:
+            break
+        pair = matched_pair(desc, desc_dot, desc.L.from_code(code))
+        if pair.regular:
+            pairs.append(pair)
     rng = random.Random(seed)
     base, n = desc.base, desc.n
     attempts = 0
@@ -1251,7 +1174,7 @@ def default_pair_list(
         if all(c.is_zero() for c in coeffs[1:]):
             continue  # central: never regular semisimple
         pair = matched_pair_L(desc, desc_dot, coeffs)
-        if pair.is_regular_semisimple():
+        if pair.regular:
             pairs.append(pair)
-    return pairs[:count] if len(pairs) >= count else pairs
+    return pairs
 

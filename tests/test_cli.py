@@ -112,6 +112,37 @@ def test_theorem_a_command_small(tmp_path):
     assert json.loads(text)["all_equal"] is True
 
 
+def test_theorem_a_p3_compares_regular_pairs(tmp_path):
+    # the b s pairs are inseparable in characteristic 3; the 20 pairs are
+    # all regular L-common elements, each compared under every recipe
+    code, text = run_cli(
+        ["theorem-a", "--p", "3", "--n", "3", "--exponents", "1,2", "--window", "0,1",
+         "--pairs", "20"],
+        tmp_path,
+    )
+    assert code == 0
+    report = json.loads(text)
+    assert len(report["rows"]) == 60
+    assert all(row["status"] == "ok" and row["equal"] for row in report["rows"])
+    assert report["all_equal"] is True
+
+
+def test_theorem_a_nothing_compared_exits_4(tmp_path):
+    code, text = run_cli(["theorem-a", "--window", "0,1", "--pairs", "0"], tmp_path)
+    assert code == 4
+    report = json.loads(text)
+    assert report["rows"] == [] and report["all_equal"] is None
+
+
+def test_alg_check_without_pairs_keeps_its_other_checks(tmp_path):
+    code, text = run_cli(["alg-check", "--samples", "0"], tmp_path)
+    assert code == 0
+    report = json.loads(text)
+    assert report["rows"][0]["pairs_checked"] == 0
+    assert report["rows"][0]["equal"] is None
+    assert report["all_equal"] is True
+
+
 def test_reports_are_deterministic(tmp_path):
     argv = ["poisson", "--p", "2", "--places", "t;inf", "--window", "1,1"]
     _, a = run_cli(argv, tmp_path, "a.json")

@@ -1,6 +1,8 @@
+import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ffpoisson.cyclic_algebra import (
@@ -13,12 +15,10 @@ from ffpoisson.cyclic_algebra import (
     RecipePsiTrace,
     alg_mul,
     basis_element,
-    charpoly_jet,
     default_pair_list,
     dual_jet_window,
     element_to_jet,
     fourier_D,
-    fourier_D_value,
     integral_test,
     invariant_fn,
     invariant_records,
@@ -38,15 +38,179 @@ from ffpoisson.cyclic_algebra import (
     theorem_a_report,
     w_valuation,
 )
-from ffpoisson import linalg
-from ffpoisson.localfield import Window
+from ffpoisson import cyclic_algebra, linalg
+from ffpoisson.cyclic_algebra import _perm_sign
+from ffpoisson.localfield import Window, _int64_or_object, _values_to_int
 from ffpoisson.place import Place
 from ffpoisson.poly import Poly, RationalFn
-from ffpoisson.scalars import CycScalar, make_field
+from ffpoisson.scalars import CycScalar, cyc_normalize, make_field
 
 F2 = make_field(2)
 D3 = AlgebraDescriptor(F2, 3, 1)
 D3dot = AlgebraDescriptor(F2, 3, 2)
+
+
+# ---------------------------------------------------------------------------
+# Per-jet oracles: the characteristic polynomial of one jet by Leibniz over
+# tuples of L-codes, and the transform at one point by a direct sum.
+# ---------------------------------------------------------------------------
+
+
+def _tpoly_mul(desc, a, b, M):
+    """Product in L[t]/t^M on tuples of L-codes."""
+    L = desc.L
+    out = [0] * M
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if i + j >= M:
+                    break
+                if y:
+                    out[i + j] = L.add_code(out[i + j], L.mul_code(x, y))
+    return tuple(out)
+
+
+def _tpoly_add(desc, a, b):
+    L = desc.L
+    return tuple(L.add_code(x, y) for x, y in zip(a, b))
+
+
+def _tpoly_neg(desc, a):
+    L = desc.L
+    return tuple(L.neg_code(x) for x in a)
+
+
+def charpoly_jet(desc, jet, M):
+    """Reduced characteristic polynomial of an S_0/t^M jet, as descended
+    F_q[t]/t^M coefficient tuples (c_0, .., c_{n-1}); X^n is monic."""
+    n, L = desc.n, desc.L
+    if jet.lo < 0:
+        raise ValueError("characteristic-polynomial jets need integral elements")
+    # s-adic digits -> u_i in L[t]/t^M
+    u = [[0] * M for _ in range(n)]
+    for k in range(jet.lo, min(jet.hi, n * M)):
+        c = jet.coeff_code(k)
+        if c:
+            u[k % n][k // n] = c
+    zero = (0,) * M
+    one = (1,) + (0,) * (M - 1) if M > 0 else ()
+    tpow = [(0,) * e + (1,) + (0,) * (M - e - 1) if e < M else zero for e in range(2 * n)]
+    # matrix entries: A[r][c] = g^r(u_i) * tau(r, c) with i = (c - r) mod n,
+    # tau the t-power carried by the shift matrix s^i
+    A = [[zero for _ in range(n)] for _ in range(n)]
+    for r in range(n):
+        for c in range(n):
+            i = (c - r) % n
+            ui = u[i]
+            if not any(ui):
+                continue
+            conj = tuple(desc.gpow(r, code) for code in ui)
+            # s^i maps v_c back to v_{c-i}; the t factor appears once for
+            # each pass of the lambda_0 = t step, i.e. when c - i < 0
+            e = 1 if c - i < 0 else 0
+            A[r][c] = _tpoly_mul(desc, conj, tpow[e], M) if e else tuple(conj)
+    # char poly by Leibniz over the commutative ring L[t]/t^M
+
+    def xmul(p1, p2):
+        out = [zero] * (len(p1) + len(p2) - 1)
+        for i1, a1 in enumerate(p1):
+            if any(a1):
+                for i2, a2 in enumerate(p2):
+                    if any(a2):
+                        out[i1 + i2] = _tpoly_add(desc, out[i1 + i2], _tpoly_mul(desc, a1, a2, M))
+        return out
+
+    total = None
+    for perm in itertools.permutations(range(n)):
+        sign = _perm_sign(perm)
+        prod = [one]
+        ok = True
+        for r in range(n):
+            c = perm[r]
+            entry = [_tpoly_neg(desc, A[r][c]), one] if r == c else [_tpoly_neg(desc, A[r][c])]
+            if len(entry) == 1 and not any(entry[0]):
+                ok = False
+                break
+            prod = xmul(prod, entry)
+        if not ok:
+            continue
+        if sign < 0:
+            prod = [_tpoly_neg(desc, p) for p in prod]
+        if total is None:
+            total = prod + [zero] * (n + 1 - len(prod))
+        else:
+            prod = prod + [zero] * (n + 1 - len(prod))
+            total = [_tpoly_add(desc, a, b) for a, b in zip(total, prod)]
+    if total is None:
+        total = [zero] * (n + 1)
+        total[n] = one
+    # descend every coefficient to F_q
+    sub = desc.base
+    out = []
+    for xdeg in range(n):
+        codes = []
+        for ccode in total[xdeg]:
+            codes.append(L.section(L.from_code(ccode), sub).code)
+        out.append(tuple(codes))
+    return tuple(out)
+
+
+def _w_class(jet, cap):
+    w = w_valuation(jet)
+    return cap if w is None else min(w, cap)
+
+
+def oracle_record(desc, jet, M):
+    """The invariant record of one jet from charpoly_jet and _w_class."""
+    q = desc.base.q
+    rec = _w_class(jet, desc.n * M)
+    for coeff in charpoly_jet(desc, jet, M):
+        for code in coeff:
+            rec = rec * q + code
+    return rec
+
+
+def fourier_D_value(phi, out_jet):
+    """F(phi)(x) = vol * sum_y phi(y) psi(Tr (x y)_{-n}) at one point x."""
+    desc = phi.desc
+    base, L = desc.base, desc.L
+    p, n = base.p, desc.n
+    lo_out, hi_out = dual_jet_window(desc, phi.lo, phi.hi)
+    if out_jet.lo != lo_out or out_jet.hi != hi_out:
+        raise ValueError(
+            f"evaluation point must live on the dual window [{lo_out},{hi_out})"
+        )
+    K = phi.hi - phi.lo
+    D = L.q**K
+    psi_exp = desc.L_place_data().psi_exponents
+    # per input level j: the x-level -n-j pairs with it, after the Galois
+    # twist g^(j mod n) of x's digit
+    level_exp = {}
+    for j in range(phi.lo, phi.hi):
+        i = -n - j
+        if lo_out <= i < hi_out:
+            xc = desc.gpow(j % n, out_jet.coeff_code(i))
+            if xc:
+                level_exp[j - phi.lo] = [psi_exp[L.mul_code(xc, c)] for c in range(L.q)]
+    arr, dens = _values_to_int(phi.values, p)
+    # the sum of the D rows is exact in int64 only while it fits
+    arr = _int64_or_object(arr, D)
+    exps = np.zeros(D, dtype=np.int64)
+    idxs = np.arange(D)
+    for pos in range(K - 1, -1, -1):
+        digit = idxs % L.q
+        idxs = idxs // L.q
+        tab = level_exp.get(pos)
+        if tab is not None:
+            exps += np.asarray(tab, dtype=np.int64)[digit]
+    exps %= p
+    total = np.zeros(p, dtype=arr.dtype)
+    for r in range(p):
+        sel = arr[exps == r]
+        if len(sel):
+            total += np.roll(sel.sum(axis=0), r)
+    vol = Fraction(base.q) ** (-(desc.nu_D // 2) - phi.hi * desc.n)
+    return cyc_normalize(p, [Fraction(int(c), dens) for c in total]) * vol
 
 
 def L_elem(desc, code):
@@ -412,7 +576,7 @@ def test_nu_D_matches_gram_determinant():
 
 def test_theorem_a_small_window():
     pairs = default_pair_list(D3, D3dot, count=12, seed=3)
-    assert len(pairs) >= 12
+    assert len(pairs) == 12
     for recipe in (RecipeConst(), RecipePsiTrace()):
         rows = theorem_a_report(D3, D3dot, recipe, pairs, Window(0, 1))
         ok = [r for r in rows if r["status"] == "ok"]
@@ -470,3 +634,126 @@ def test_splitting_matrix_injective_on_nonzero():
         M = splitting_matrix(x)
         nonzero_matrix = any(not M[r][c].is_zero() for r in range(3) for c in range(3))
         assert nonzero_matrix == (not x.is_zero())
+
+
+# ---------------------------------------------------------------------------
+# Batched invariant records against the per-jet oracles
+# ---------------------------------------------------------------------------
+
+F3 = make_field(3)
+D3p3 = AlgebraDescriptor(F3, 3, 1)
+D3p3dot = AlgebraDescriptor(F3, 3, 2)
+
+
+@pytest.mark.parametrize(
+    "desc", [D3, D3dot, D3p3, D3p3dot], ids=["p2-g1", "p2-g2", "p3-g1", "p3-g2"]
+)
+def test_records_match_oracle_on_every_jet_at_depth_one(desc):
+    records = invariant_records(desc, 1)
+    D = desc.L.q**3
+    assert records.dtype == np.int64 and len(records) == D
+    for idx in range(D):
+        jet = jet_from_index(desc, 0, 3, idx)
+        assert int(records[idx]) == oracle_record(desc, jet, 1), idx
+
+
+@pytest.mark.parametrize("desc", [D3, D3dot], ids=["g1", "g2"])
+def test_records_match_oracle_on_sample_at_depth_two(desc):
+    # M = 2 is the first depth at which the t below the diagonal reaches
+    # the records, and the first with jets in more than one chunk
+    records = invariant_records(desc, 2)
+    D = desc.L.q**6
+    assert D > cyclic_algebra._RECORD_CHUNK
+    rng = random.Random(11)
+    for idx in [0, 1, D - 1] + [rng.randrange(D) for _ in range(600)]:
+        jet = jet_from_index(desc, 0, 6, idx)
+        assert int(records[idx]) == oracle_record(desc, jet, 2), idx
+
+
+def test_records_past_int64_guard_are_python_ints(monkeypatch):
+    expected = invariant_records(D3, 2)
+    monkeypatch.setattr(cyclic_algebra, "_RECORD_LIMIT", 400)
+    fresh = AlgebraDescriptor(F2, 3, 1)
+    records = invariant_records(fresh, 2)
+    assert records.dtype == object and isinstance(records[5], int)
+    assert records.tolist() == expected.tolist()
+    # the bound (K + 1) q^(n M) is 7 * 2^6 = 448 at M = 2 and 4 * 2^3 at
+    # M = 1, which stays int64
+    assert invariant_records(fresh, 1).dtype == np.int64
+
+
+def test_records_without_dense_field_tables():
+    # L = F_289 has no dense tables; its codes go through the field's own
+    # arithmetic element by element
+    F17 = make_field(17)
+    desc = AlgebraDescriptor(F17, 2, 1)
+    assert desc.L._mul_table is None
+    rng = random.Random(4)
+    jets = [jet_from_index(desc, 0, 4, rng.randrange(289**4)) for _ in range(40)]
+    records = cyclic_algebra._charpoly_records(
+        desc, 2, np.array([jet.codes for jet in jets], dtype=np.int64)
+    )
+    assert [int(r) for r in records] == [oracle_record(desc, jet, 2) for jet in jets]
+
+
+def test_records_descent_failure_is_an_internal_fault(monkeypatch):
+    desc = AlgebraDescriptor(F2, 3, 1)
+    # g^1 = g^0 makes the "conjugates" of a non-rational digit all equal,
+    # so its characteristic polynomial leaves F_2
+    monkeypatch.setattr(desc, "_gpow", [desc._gpow[0]] * 3)
+    with pytest.raises(RuntimeError, match="Galois descent"):
+        invariant_records(desc, 1)
+
+
+def test_target_s_charpoly_is_x_cubed_minus_t():
+    assert target_s_charpoly(D3, 2) == ((0, 1), (0, 0), (0, 0))
+    assert target_s_charpoly(D3p3, 1) == ((0,), (0,), (0,))
+    assert target_s_charpoly(D3p3, 2) == ((0, 2), (0, 0), (0, 0))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_records_of_matched_pairs_match_reduced_char_poly(p):
+    desc, desc_dot = (D3, D3dot) if p == 2 else (D3p3, D3p3dot)
+    pairs = default_pair_list(desc, desc_dot, count=20, seed=1)
+    assert len(pairs) == 20
+    M = 2 if p == 2 else 1
+    K = desc.n * M
+    pd = desc._pd0
+    for pair in pairs:
+        want = tuple(
+            tuple(pd.expand(c, M).at(m).code for m in range(M))
+            for c in pair.charpoly.coeffs[: desc.n]
+        )
+        for d, el in ((desc, pair.c), (desc_dot, pair.c_dot)):
+            jet = element_to_jet(el, 0, K)
+            cp, w = cyclic_algebra.decode_record(
+                d, M, int(invariant_records(d, M)[jet_index(jet)])
+            )
+            assert cp == want
+            assert w == _w_class(jet, K)
+
+
+def test_theorem_a_report_equals_pointwise_transform():
+    pairs = default_pair_list(D3, D3dot, count=12, seed=2)
+    win = Window(0, 1)
+    for recipe in (RecipeConst(), RecipePsiTrace(), RecipeCharPolyCoset(target_s_charpoly(D3, 1))):
+        phi = invariant_fn(D3, recipe, win)
+        phi_dot = invariant_fn(D3dot, recipe, win)
+        lo, hi = dual_jet_window(D3, 0, 3)
+        rows = theorem_a_report(D3, D3dot, recipe, pairs, win)
+        assert len(rows) == len(pairs)
+        for row, pair in zip(rows, pairs):
+            assert row["status"] == "ok"
+            assert row["value_D"] == fourier_D_value(phi, element_to_jet(pair.c, lo, hi))
+            assert row["value_D_dot"] == fourier_D_value(
+                phi_dot, element_to_jet(pair.c_dot, lo, hi)
+            )
+
+
+def test_default_pairs_are_regular_semisimple_at_p3():
+    # every b s pair has the inseparable char poly X^3 - N(b) t in
+    # characteristic 3, so all 20 pairs are regular L-common elements
+    pairs = default_pair_list(D3p3, D3p3dot, count=20, seed=1)
+    assert len(pairs) == 20
+    assert all(pair.regular and pair.provenance == "L-common" for pair in pairs)
+    assert not matched_pair(D3p3, D3p3dot, D3p3.L.one()).regular
