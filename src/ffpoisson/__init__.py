@@ -18,3 +18,7 @@ from .scalars import (  # noqa: F401
     psi,
     trace,
 )
+
+
+class BudgetExceededError(RuntimeError):
+    """An enumeration would exceed the configured budget."""

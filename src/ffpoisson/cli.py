@@ -11,43 +11,13 @@ in the run is true; a run whose checks compare nothing reports
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
-import random
 import sys
 
-from . import __version__
-from .cyclic_algebra import (
-    AlgebraDescriptor,
-    AlgebraElement,
-    AlgebraJet,
-    RecipeCharPolyCoset,
-    RecipeConst,
-    RecipePsiTrace,
-    default_pair_list,
-    reduced_char_poly,
-    reduced_norm,
-    target_s_charpoly,
-    theorem_a_report,
-    w_valuation,
-)
-from .globalfield import (
-    BudgetExceededError,
-    GlobalTestFunction,
-    poisson_family,
-    poisson_report,
-)
-from .localfield import (
-    LocalTestFunction,
-    Window,
-    fourier_multi,
-    index_to_jet,
-    jet_space_size,
-)
-from .motivic import ClassFamily, ConstructibleSet, MPoly, MotivicClass, euler_product
-from .place import Place, PlaceData
-from .poly import Poly, RationalFn
+# each subcommand imports the modules it runs, so a command loads only what
+# it needs (euler and charsum never load numpy)
+from . import BudgetExceededError, __version__
 from .scalars import CycScalar, make_field
 
 
@@ -110,6 +80,8 @@ def _tokenize(text: str):
 
 def parse_mpoly(text: str, field, nvars: int, var_prefix: str = "x") -> MPoly:
     """Parse an integer-coefficient polynomial expression into an MPoly."""
+    from .motivic import MPoly
+
     toks = _tokenize(text)
     pos = 0
 
@@ -189,6 +161,8 @@ def parse_mpoly(text: str, field, nvars: int, var_prefix: str = "x") -> MPoly:
 
 
 def parse_tpoly(text: str, field) -> Poly:
+    from .poly import Poly
+
     m = parse_mpoly(text, field, 1, var_prefix="t")
     coeffs = [0] * (max((e[0] for e in m.terms), default=0) + 1)
     for (e,), c in m.terms.items():
@@ -197,6 +171,8 @@ def parse_tpoly(text: str, field) -> Poly:
 
 
 def parse_place(text: str, field) -> Place:
+    from .place import Place
+
     text = text.strip()
     if text in ("inf", "infinity", "oo"):
         return Place.infinity(field)
@@ -204,6 +180,8 @@ def parse_place(text: str, field) -> Place:
 
 
 def parse_window(text: str) -> Window:
+    from .localfield import Window
+
     parts = text.split(",")
     if len(parts) != 2:
         raise ParseError("window must be 'N,M'")
@@ -239,6 +217,8 @@ def emit_report(report: dict, args) -> int:
     else:
         sys.stdout.write(text + "\n")
     if getattr(args, "format", "json") == "csv":
+        import csv
+
         buf = io.StringIO()
         rows = report.get("rows", [])
         if rows:
@@ -274,6 +254,8 @@ def base_report(command: str, args, keys: list[str]) -> dict:
 
 
 def cmd_charsum(args) -> int:
+    from .motivic import ConstructibleSet, MotivicClass
+
     field = make_field(args.p, args.e)
     nvars = args.m
     eqs = [parse_mpoly(s, field, nvars) for s in args.eq or []]
@@ -293,6 +275,8 @@ def cmd_charsum(args) -> int:
 
 
 def _named_set(name: str, field, args) -> ConstructibleSet:
+    from .motivic import ConstructibleSet
+
     if name == "a1":
         return ConstructibleSet.affine_line(field)
     if name == "gm":
@@ -305,6 +289,8 @@ def _named_set(name: str, field, args) -> ConstructibleSet:
 
 
 def cmd_euler(args) -> int:
+    from .motivic import ClassFamily, euler_product
+
     field = make_field(args.p, args.e)
     X = _named_set(args.set, field, args)
     if args.family == "one":
@@ -326,6 +312,9 @@ def cmd_euler(args) -> int:
 
 
 def cmd_local_fourier(args) -> int:
+    from .localfield import LocalTestFunction, fourier_multi, index_to_jet, jet_space_size
+    from .place import PlaceData
+
     field = make_field(args.p, args.e)
     pd = PlaceData.synthetic(field, args.d, args.nu)
     win = parse_window(args.window)
@@ -372,6 +361,9 @@ def local_fn_to_json(phi: LocalTestFunction) -> dict:
 
 
 def local_fn_from_json(data: dict) -> LocalTestFunction:
+    from .localfield import LocalTestFunction, Window
+    from .place import PlaceData
+
     where = "local function"
     p, e = _pq_split(_json_get(data, "q", int, where))
     field = make_field(p, e)
@@ -388,6 +380,8 @@ def local_fn_from_json(data: dict) -> LocalTestFunction:
 
 def global_fn_from_json(field, data: dict) -> GlobalTestFunction:
     """GlobalTestFunction.from_json, after checking the wire schema."""
+    from .globalfield import GlobalTestFunction
+
     where = "global function"
     _json_get(data, "q", int, where)
     for i, entry in enumerate(_json_get(data, "places", list, where)):
@@ -464,6 +458,8 @@ def _pq_split(q: int) -> tuple[int, int]:
 
 
 def cmd_poisson(args) -> int:
+    from .globalfield import poisson_family, poisson_report
+
     field = make_field(args.p, args.e)
     rows = []
     if args.infile:
@@ -500,6 +496,18 @@ def cmd_poisson(args) -> int:
 
 
 def cmd_alg_check(args) -> int:
+    import random
+
+    from .cyclic_algebra import (
+        AlgebraDescriptor,
+        AlgebraElement,
+        AlgebraJet,
+        reduced_char_poly,
+        reduced_norm,
+        w_valuation,
+    )
+    from .poly import RationalFn
+
     field = make_field(args.p, args.e)
     desc = AlgebraDescriptor(field, args.n, args.exponent)
     rng = random.Random(args.seed)
@@ -542,6 +550,16 @@ def cmd_alg_check(args) -> int:
 
 
 def cmd_theorem_a(args) -> int:
+    from .cyclic_algebra import (
+        AlgebraDescriptor,
+        RecipeCharPolyCoset,
+        RecipeConst,
+        RecipePsiTrace,
+        default_pair_list,
+        target_s_charpoly,
+        theorem_a_report,
+    )
+
     field = make_field(args.p, args.e)
     exps = [int(x) for x in args.exponents.split(",")]
     if len(exps) != 2 or exps[0] % args.n == exps[1] % args.n:

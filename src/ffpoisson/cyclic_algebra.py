@@ -1155,7 +1155,10 @@ def default_pair_list(
     import random
 
     pairs = []
-    for code in range(1, desc.L.q):
+    # b s has reduced characteristic polynomial X^n - N(b) t, whose
+    # derivative vanishes when p divides n: then no b s pair is regular
+    bs_codes = range(1, desc.L.q) if desc.n % desc.base.p else ()
+    for code in bs_codes:
         if len(pairs) >= count:
             break
         pair = matched_pair(desc, desc_dot, desc.L.from_code(code))

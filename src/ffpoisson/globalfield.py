@@ -19,10 +19,12 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import BudgetExceededError
 from .localfield import (
     _INT64_GUARD,
     JetVector,
     Window,
+    _char_kernel_tensors,
     _check_transformable,
     _generic_axis_transform,
     _IntRep,
@@ -46,7 +48,6 @@ __all__ = [
     "divisor_of",
     "canonical_divisor",
     "rr_basis",
-    "rr_space",
     "jet_at",
     "GlobalTestFunction",
     "indicator_everywhere_integral",
@@ -62,10 +63,6 @@ __all__ = [
     "poisson_family",
     "BudgetExceededError",
 ]
-
-
-class BudgetExceededError(RuntimeError):
-    """An enumeration would exceed the configured budget."""
 
 
 # ---------------------------------------------------------------------------
@@ -186,32 +183,6 @@ def rr_basis(D: Divisor) -> list[RationalFn]:
     if len(basis) != deg + 1:
         raise RuntimeError("Riemann-Roch dimension mismatch; internal error")
     return basis
-
-
-_RR_CACHE: dict = {}
-
-
-def rr_space(D: Divisor, max_enum: int = 1 << 20) -> list[RationalFn]:
-    """All of L(D), enumerated as F_q-combinations of the basis."""
-    got = _RR_CACHE.get(D)
-    if got is not None and len(got) <= max_enum:
-        return got
-    basis = rr_basis(D)
-    field = D.field
-    if field.q ** len(basis) > max_enum:
-        raise BudgetExceededError(
-            f"|L(D)| = {field.q}^{len(basis)} exceeds the budget {max_enum}"
-        )
-    consts = [RationalFn.constant(field, field.from_code(c)) for c in range(field.q)]
-    out = []
-    for combo in itertools.product(range(field.q), repeat=len(basis)):
-        f = RationalFn.zero(field)
-        for c, b in zip(combo, basis):
-            if c:
-                f = f + consts[c] * b
-        out.append(f)
-    _RR_CACHE[D] = out
-    return out
 
 
 @lru_cache(maxsize=1 << 16)
@@ -720,26 +691,49 @@ def scale_variable(phi: GlobalTestFunction, a: RationalFn) -> GlobalTestFunction
 _COUNT_CACHE: dict = {}
 
 
+def _member_jet_codes(u: Place, window: Window, basis) -> np.ndarray:
+    """The jets at one place of every member of the span of the basis, as
+    k_u codes shaped (q^len(basis), levels).  The jet map is F_q-linear, so
+    only the basis is expanded; members are sum_i c_i b_i with the digits
+    c_i in row-major order, and their jets are summed level by level with
+    the residue field's code tables."""
+    pd = place_data(u)
+    _, mul, add = _char_kernel_tensors(pd)
+    embed = np.array(pd.ku._embedding_table(pd.base), dtype=np.int64)
+    codes = np.zeros((1, window.levels), dtype=np.int64)
+    for b in basis:
+        jet = np.array([c.code for c in jet_at(b, u, window).coeffs], dtype=np.int64)
+        # multiples[c, lev]: the jet of c * b, for every F_q code c
+        multiples = mul[embed[:, None], jet[None, :]]
+        codes = add[codes[:, None, :], multiples[None, :, :]]
+        codes = codes.reshape(len(codes) * len(embed), window.levels)
+    return codes
+
+
 def jet_counts(field, support, arity: int, max_enum: int = 1 << 20) -> np.ndarray:
     """c[j]: how many arity-tuples of members of L(sum_u N_u [u]) have their
     jets on the support (canonical place order) in table cell j, so that
     delta_K(phi) = sum_j c[j] phi[j].  Cached per (support, arity); the
-    enumeration budget is checked on every call."""
+    enumeration budget is checked on every call, before any work."""
     support = tuple(support)
-    members = rr_space(Divisor(field, {u: w.N for u, w in support}), max_enum)
-    if len(members) ** arity > max_enum:
+    D = Divisor(field, {u: w.N for u, w in support})
+    dim = max(D.degree + 1, 0)
+    if field.q**dim > max_enum:
+        raise BudgetExceededError(f"|L(D)| = {field.q}^{dim} exceeds the budget {max_enum}")
+    if field.q ** (dim * arity) > max_enum:
         raise BudgetExceededError(
-            f"enumeration of {len(members)}^{arity} tuples exceeds {max_enum}"
+            f"enumeration of {field.q**dim}^{arity} tuples exceeds {max_enum}"
         )
     key = (support, arity)
     got = _COUNT_CACHE.get(key)
     if got is not None:
         return got
+    basis = rr_basis(D)
     sizes = [jet_space_size(place_data(u), w) for u, w in support]
-    cell = np.zeros(len(members), dtype=np.int64)
-    for (u, w), D in zip(support, sizes):
-        jets = [jet_to_index(jet_at(f, u, w)) for f in members]
-        cell = cell * D + np.array(jets, dtype=np.int64)
+    cell = np.zeros(field.q**dim, dtype=np.int64)
+    for u, w in support:
+        for lev_codes in _member_jet_codes(u, w, basis).T:
+            cell = cell * place_data(u).ku.q + lev_codes
     one = np.bincount(cell, minlength=_prod(sizes))
     # the coordinates are independent members: an outer power, laid out
     # coordinate-major, then moved to the table's place-major axis order

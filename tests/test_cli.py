@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -291,3 +292,30 @@ def test_local_input_schema_errors_exit_2(tmp_path, capsys):
     path.write_text(json.dumps({"q": 3, "d": 1, "nu": 0, "window": [1], "arity": 1}))
     assert main(["local-fourier", "--p", "3", "--in", str(path)]) == 2
     assert "'window' must be" in capsys.readouterr().err
+
+
+IMPORT_PROBE = """
+import sys
+from ffpoisson import cli
+
+heavy = ("numpy", "ffpoisson.globalfield", "ffpoisson.cyclic_algebra")
+print(",".join(m for m in heavy if m in sys.modules))
+for argv in (["euler", "--p", "2", "--set", "gm", "--precision", "2"],
+             ["charsum", "--p", "3", "--h", "x0^2", "--degrees", "1"]):
+    assert cli.main(argv + ["--out", sys.argv[1]]) == 0
+print(",".join(m for m in heavy if m in sys.modules))
+"""
+
+
+def test_cli_imports_only_what_a_subcommand_runs(tmp_path):
+    # a fresh interpreter: importing the CLI loads neither numpy nor the
+    # transform modules, and euler and charsum finish without numpy
+    import ffpoisson
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ffpoisson.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, str(tmp_path / "report.json")],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.splitlines() == ["", ""]

@@ -757,3 +757,22 @@ def test_default_pairs_are_regular_semisimple_at_p3():
     assert len(pairs) == 20
     assert all(pair.regular and pair.provenance == "L-common" for pair in pairs)
     assert not matched_pair(D3p3, D3p3dot, D3p3.L.one()).regular
+
+
+def test_default_pairs_skip_b_s_when_p_divides_n(monkeypatch):
+    # X^3 - N(b) t has zero derivative in characteristic 3, so no b s pair
+    # can be regular: none is built, and the list is what it would be if
+    # all 26 were built and dropped
+    assert not any(
+        matched_pair(D3p3, D3p3dot, D3p3.L.from_code(code)).regular
+        for code in range(1, D3p3.L.q)
+    )
+    built = []
+    monkeypatch.setattr(
+        cyclic_algebra, "matched_pair", lambda *args: built.append(args) or matched_pair(*args)
+    )
+    pairs = default_pair_list(D3p3, D3p3dot, count=20, seed=1)
+    assert built == [] and len(pairs) == 20
+    # at p = 2 the b s pairs are still built and come first
+    assert default_pair_list(D3, D3dot, count=3)[0].provenance == "bs-form"
+    assert len(built) == 3

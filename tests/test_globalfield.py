@@ -27,7 +27,6 @@ from ffpoisson.globalfield import (
     poisson_report,
     refine_place,
     rr_basis,
-    rr_space,
     scale_variable,
     simple_coset_functions,
     translate,
@@ -44,6 +43,36 @@ INF2 = Place.infinity(F2)
 P0 = Place.at(F2, 0)
 P1 = Place.at(F2, 1)
 PI2 = Place.finite(Poly(F2, (1, 1, 1)))
+
+
+def rr_space(D: Divisor) -> list[RationalFn]:
+    """All of L(D), enumerated as F_q-combinations of the basis: the oracle
+    that jet_counts, which expands only the basis, is checked against."""
+    field, basis = D.field, rr_basis(D)
+    consts = [RationalFn.constant(field, field.from_code(c)) for c in range(field.q)]
+    out = []
+    for combo in itertools.product(range(field.q), repeat=len(basis)):
+        f = RationalFn.zero(field)
+        for c, b in zip(combo, basis):
+            if c:
+                f = f + consts[c] * b
+        out.append(f)
+    return out
+
+
+def _enumerated_counts(field, support, arity):
+    """jet_counts by brute force: the jets of every arity-tuple of members
+    of L(sum_u N_u [u]), each member expanded at each place."""
+    members = rr_space(Divisor(field, {u: w.N for u, w in support}))
+    sizes = [jet_space_size(place_data(u), w) for u, w in support]
+    counts = [0] * (int(np.prod(sizes)) ** arity)
+    for fs in itertools.product(members, repeat=arity):
+        idx = 0
+        for (u, w), D in zip(support, sizes):
+            for f in fs:
+                idx = idx * D + jet_to_index(jet_at(f, u, w))
+        counts[idx] += 1
+    return counts
 
 
 # -- divisors and Riemann-Roch ---------------------------------------------------
@@ -105,10 +134,18 @@ def test_riemann_roch_dimension_and_membership(field):
                 assert u.valuation(f) >= -D.get(u)
 
 
-def test_rr_space_budget():
-    D = Divisor(F2, {INF2: 30})
-    with pytest.raises(BudgetExceededError):
-        rr_space(D, max_enum=1 << 10)
+def test_rr_space_budget(monkeypatch):
+    # L(30 [inf]) has 2^31 members: refused from its dimension, before any
+    # basis element is built or expanded
+    def refuse(*args):
+        raise AssertionError("work done past the budget")
+
+    monkeypatch.setattr(globalfield, "rr_basis", refuse)
+    monkeypatch.setattr(globalfield, "jet_at", refuse)
+    with pytest.raises(BudgetExceededError, match=r"^\|L\(D\)\| = 2\^31 exceeds the budget 1024$"):
+        jet_counts(F2, [(INF2, Window(30, 1))], 1, max_enum=1 << 10)
+    with pytest.raises(BudgetExceededError, match=r"^enumeration of 8\^2 tuples exceeds 10$"):
+        jet_counts(F2, [(INF2, Window(2, 1))], 2, max_enum=10)
 
 
 # -- jets of rational functions ----------------------------------------------------
@@ -523,20 +560,67 @@ def test_poisson_family_budget_and_duplicates():
 
 def test_jet_counts_arity_two_matches_enumeration():
     support = [(INF2, Window(1, 1)), (P0, Window(1, 1))]
-    members = rr_space(Divisor(F2, {INF2: 1, P0: 1}))
-    sizes = [4, 4]
-    counts = [0] * 256
-    for f, g in itertools.product(members, repeat=2):
-        idx = 0
-        for (u, w), D in zip(support, sizes):
-            for h in (f, g):
-                idx = idx * D + jet_to_index(jet_at(h, u, w))
-        counts[idx] += 1
+    counts = _enumerated_counts(F2, support, 2)
     assert jet_counts(F2, support, 2).tolist() == counts
     rng = random.Random(5)
     vals = [CycScalar.rational(2, rng.randrange(-3, 4)) for _ in range(256)]
     phi = GlobalTestFunction(F2, support, 2, vals)
     assert delta_K(phi) == sum((v * n for v, n in zip(vals, counts)), CycScalar.zero(2))
+
+
+F4 = make_field(2, 2)
+
+
+def _place(field, spec):
+    """A place from its CLI text, or a finite one from its coefficient codes."""
+    if isinstance(spec, str):
+        return parse_place(spec, field)
+    return Place.finite(Poly(field, spec))
+
+
+# supports whose jet counts are checked against the enumeration: a degree-2
+# place over F_4, the one case where the F_q -> k_u embedding (F_4 in F_16)
+# is not the identity on codes; a degree-2 place over F_3; pole bounds
+# N < 0, which take rr_basis's twisted branch; arity 2
+JET_COUNT_CASES = [
+    ("F4-deg2", F4, [("inf", (1, 0)), ((2, 1, 1), (1, 1))], 1),
+    ("F3-deg2", F3, [("t", (1, 1)), ("t^2+1", (1, 1)), ("inf", (0, 1))], 1),
+    ("F2-negative-N", F2, [("inf", (3, 0)), ("t", (-1, 2)), ("t^2+t+1", (1, 0))], 1),
+    ("F3-negative-N", F3, [("inf", (2, 1)), ("t+1", (-1, 2))], 1),
+    ("F3-arity2", F3, [("inf", (1, 0)), ("t", (0, 1))], 2),
+]
+
+
+@pytest.mark.parametrize(
+    "field,support,arity", [c[1:] for c in JET_COUNT_CASES], ids=[c[0] for c in JET_COUNT_CASES]
+)
+def test_jet_counts_match_enumeration(monkeypatch, field, support, arity):
+    support = sorted(
+        ((_place(field, u), Window(*w)) for u, w in support), key=lambda pw: pw[0].sort_key()
+    )
+    monkeypatch.setattr(globalfield, "_COUNT_CACHE", {})
+    calls = []
+    counted = globalfield.jet_at
+
+    def spy(f, u, w):
+        calls.append(f)
+        return counted(f, u, w)
+
+    monkeypatch.setattr(globalfield, "jet_at", spy)
+    got = jet_counts(field, support, arity)
+    # only the basis is expanded, once per place
+    dim = len(rr_basis(Divisor(field, {u: w.N for u, w in support})))
+    assert len(calls) == dim * len(support)
+    monkeypatch.undo()
+    assert got.tolist() == _enumerated_counts(field, support, arity)
+    assert got.sum() == field.q ** (dim * arity)
+
+
+def test_jet_counts_embed_is_not_identity():
+    # the F_4 case above only tests the embedding if it moves codes
+    pd = place_data(_place(F4, (2, 1, 1)))
+    assert pd.ku.q == 16
+    assert pd.ku._embedding_table(F4) != list(range(4))
 
 
 def test_mixed_radix_index_against_digits():
