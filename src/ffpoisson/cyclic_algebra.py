@@ -29,10 +29,10 @@ from .localfield import (
     _contract_levels,
     _digit_matrix,
     _int64_or_object,
-    _int_to_values,
+    _Table,
     _values_to_int,
 )
-from .place import Place, PlaceData, place_data
+from .place import Place, PlaceData, coordinate_tables, place_data
 from .poly import Poly, RationalFn
 from .scalars import (
     CycScalar,
@@ -69,9 +69,7 @@ class AlgebraDescriptor:
         for i in range(n):
             power = base.q ** ((self.a * i) % n)
             self._gpow.append([self.L.pow_code(c, power) for c in range(self.L.q)])
-        self._coords: dict[int, tuple[int, ...]] = {}
-        self._uncoords: dict[tuple[int, ...], int] = {}
-        self._build_coords()
+        self._coords, self._uncoords = coordinate_tables(base, self.L, self.d_basis)
         # structure constants: d_j * g^i(d_l) = sum_m SC[i][j][l][m] d_m
         self._sc = [
             [
@@ -91,26 +89,6 @@ class AlgebraDescriptor:
         self._lops: _LCodeOps | None = None
 
     # -- L-coordinates over F_q ---------------------------------------------------
-
-    def _build_coords(self):
-        base, L, n = self.base, self.L, self.n
-        fp = make_field(base.p, 1)
-        cols = []
-        for j in range(n):
-            for l in range(base.e):
-                z = self.d_basis[j] * L.embed(base.gen() ** l)
-                cols.append(z.coeffs())
-        dim = n * base.e
-        matrix = [[fp.from_code(cols[c][r]) for c in range(dim)] for r in range(dim)]
-        for z in L.elements():
-            rhs = [fp.from_code(c) for c in z.coeffs()]
-            sol = linalg.solve(matrix, rhs)
-            vec = tuple(
-                base.code_of([sol[j * base.e + l].code for l in range(base.e)])
-                for j in range(n)
-            )
-            self._coords[z.code] = vec
-            self._uncoords[vec] = z.code
 
     def coords(self, z: FieldElem) -> tuple[int, ...]:
         """F_q-codes of z on the d-basis."""
@@ -967,7 +945,7 @@ def target_s_charpoly(desc: AlgebraDescriptor, M: int):
     return decode_record(desc, M, int(rec))[0]
 
 
-class AlgebraTestFunction:
+class AlgebraTestFunction(_Table):
     """Dense table over the jets of a w-window at t = 0."""
 
     def __init__(self, desc, lo, hi, values):
@@ -978,12 +956,22 @@ class AlgebraTestFunction:
         self.desc = desc
         self.lo = lo
         self.hi = hi
-        self.values = values
+        p = desc.base.p
+        self._set_table(*_values_to_int(values, p), p, "exact")
+        self._values = values
+
+    @classmethod
+    def _from_table(cls, desc, lo, hi, arr, den):
+        """A table given in the _Table layout, taken as it is."""
+        phi = cls.__new__(cls)
+        phi.desc, phi.lo, phi.hi = desc, lo, hi
+        phi._set_table(arr, den, desc.base.p, "exact")
+        return phi
 
     def value_at(self, jet: AlgebraJet):
         if jet.lo != self.lo or jet.hi != self.hi:
             raise ValueError("jet window mismatch")
-        return self.values[jet_index(jet)]
+        return self._value(jet_index(jet))
 
     def table_equal(self, other):
         return (
@@ -1001,15 +989,12 @@ def invariant_fn(desc: AlgebraDescriptor, recipe: InvariantRecipe, window) -> Al
     if window.N != 0:
         raise ValueError("invariant recipes live on S_0: window must have N = 0")
     M = window.M
-    by_record: dict[int, CycScalar] = {}
-    values = []
-    for rec in invariant_records(desc, M).tolist():
-        v = by_record.get(rec)
-        if v is None:
-            cp, w = decode_record(desc, M, rec)
-            v = by_record[rec] = recipe.value(cp, w, desc, M)
-        values.append(v)
-    return AlgebraTestFunction(desc, 0, desc.n * M, values)
+    # the recipe runs once per distinct record; each jet reads its row
+    first: dict[int, int] = {}
+    which = [first.setdefault(rec, len(first)) for rec in invariant_records(desc, M).tolist()]
+    values = [recipe.value(*decode_record(desc, M, rec), desc, M) for rec in first]
+    rows, den = _values_to_int(values, desc.base.p)
+    return AlgebraTestFunction._from_table(desc, 0, desc.n * M, rows[which], den)
 
 
 # ---------------------------------------------------------------------------
@@ -1040,8 +1025,7 @@ def fourier_D(phi: AlgebraTestFunction) -> AlgebraTestFunction:
     Q = L.q
     D = Q**K
     vol = Fraction(base.q) ** (-(desc.nu_D // 2) - phi.hi * desc.n)
-    arr, dens = _values_to_int(phi.values, p)
-    arr = _int64_or_object(arr, D * 4 * vol.numerator)
+    arr = _int64_or_object(phi._arr, D * 4 * vol.numerator)
     g = _contract_levels(arr, desc.L_place_data(), K, 1, 1).reshape(D, p)
 
     # output jet x -> u digits: u at input level j is g^(j mod n) of x's
@@ -1054,8 +1038,7 @@ def fourier_D(phi: AlgebraTestFunction) -> AlgebraTestFunction:
         u = gpow_tabs[j % n][digits[:, xpos]]
         g_idx = g_idx * Q + u
     out = g[g_idx] * vol.numerator
-    values = _int_to_values(out, dens * vol.denominator, p)
-    return AlgebraTestFunction(desc, lo_out, hi_out, values)
+    return AlgebraTestFunction._from_table(desc, lo_out, hi_out, out, phi._den * vol.denominator)
 
 
 # ---------------------------------------------------------------------------

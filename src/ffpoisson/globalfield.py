@@ -24,13 +24,14 @@ from .localfield import (
     _INT64_GUARD,
     JetVector,
     Window,
-    _char_kernel_tensors,
     _check_transformable,
+    _code_tables,
+    _field_code_tables,
     _generic_axis_transform,
-    _IntRep,
+    _int64_or_object,
     _rep_axis_transform,
-    _rep_to_values,
-    _to_rep,
+    _Table,
+    _table_of,
     index_to_jet,
     jet_space_size,
     jet_to_index,
@@ -198,76 +199,6 @@ def jet_at(f: RationalFn, u: Place, window: Window) -> JetVector:
 
 
 # ---------------------------------------------------------------------------
-# Multi-axis tables (private plumbing shared by the global operations)
-# ---------------------------------------------------------------------------
-
-
-class _AxisTable:
-    """A dense table with one axis per (place, coordinate)."""
-
-    def __init__(self, axes, values, mode):
-        # axes: list of (pd, window); sizes derived
-        self.axes = list(axes)
-        self.values = list(values)
-        self.mode = mode
-
-    def sizes(self):
-        return [jet_space_size(pd, w) for pd, w in self.axes]
-
-    def _strides(self, axis):
-        sizes = self.sizes()
-        pre = 1
-        for s in sizes[:axis]:
-            pre *= s
-        post = 1
-        for s in sizes[axis + 1 :]:
-            post *= s
-        return pre, sizes[axis], post
-
-    def reindex(self, axis, new_window, map_fn):
-        """new[.., a, ..] = old[.., map_fn(a), ..]; map_fn None means zero."""
-        pd, _ = self.axes[axis]
-        pre, D_old, post = self._strides(axis)
-        D_new = jet_space_size(pd, new_window)
-        zero = ops_for(pd, self.mode).zero()
-        lookup = [map_fn(a) for a in range(D_new)]
-        out = [zero] * (pre * D_new * post)
-        for x in range(pre):
-            src_base = x * D_old * post
-            dst_base = x * D_new * post
-            for a, old_a in enumerate(lookup):
-                if old_a is None:
-                    continue
-                src = src_base + old_a * post
-                dst = dst_base + a * post
-                out[dst : dst + post] = self.values[src : src + post]
-        self.axes[axis] = (pd, new_window)
-        self.values = out
-
-    def transform_all(self):
-        """Transform every axis: an exact table as one integer representation
-        carried through the whole chain, a symbolic one by direct sums."""
-        for pd, w in self.axes:
-            _check_transformable(pd, w)
-        exact = self.mode == "exact"
-        if exact:
-            p = self.axes[0][0].base.p
-            rep = _to_rep(self.values, p)
-        duals = []
-        for axis, (pd, w) in enumerate(self.axes):
-            pre, _, post = self._strides(axis)
-            if exact:
-                rep, dual = _rep_axis_transform(rep, pd, w, pre, post)
-            else:
-                ops = ops_for(pd, self.mode)
-                self.values, dual = _generic_axis_transform(self.values, ops, pd, w, pre, post)
-            duals.append(dual)
-        if exact:
-            self.values = _rep_to_values(rep, p)
-        self.axes = [(pd, dual) for (pd, _), dual in zip(self.axes, duals)]
-
-
-# ---------------------------------------------------------------------------
 # Global test functions
 # ---------------------------------------------------------------------------
 
@@ -286,7 +217,20 @@ def _mixed_radix_index(sizes, axis_perm, new_sizes=None) -> np.ndarray:
     return idx.reshape(-1)
 
 
-class GlobalTestFunction:
+def _lookup_index(sizes, lookups) -> np.ndarray:
+    """Flat positions in a row-major table with the given axis sizes, listed
+    in the row-major order of a new table whose axis k reads old position
+    lookups[k][a] at its index a; a lookup of -1, and every cell that reads
+    one, is -1."""
+    idx = np.zeros((), dtype=np.int64)
+    for size, look in zip(sizes, lookups):
+        look = np.asarray(look, dtype=np.int64)
+        cell = idx[..., None] * size + look
+        idx = np.where((idx[..., None] < 0) | (look < 0), -1, cell)
+    return idx.reshape(-1)
+
+
+class GlobalTestFunction(_Table):
     """Support list of (place, window), arity m, dense table.
 
     Axis order: places in canonical order are the outer index blocks, the m
@@ -296,33 +240,38 @@ class GlobalTestFunction:
     """
 
     def __init__(self, field, support, arity, values, mode="exact"):
+        self._setup(field, support, arity, *_table_of(list(values), field.p, mode), mode)
+
+    @classmethod
+    def _from_table(cls, field, support, arity, arr, den, mode="exact"):
+        """A table given in the _Table layout, taken as it is."""
+        phi = cls.__new__(cls)
+        phi._setup(field, support, arity, arr, den, mode)
+        return phi
+
+    def _setup(self, field, support, arity, arr, den, mode):
         support = list(support)
+        places = [u for u, _ in support]
+        if len(set(places)) != len(places):
+            raise ValueError("duplicate place in support")
+        sizes = [jet_space_size(place_data(u), w) for u, w in support for _ in range(arity)]
+        if len(arr) != _prod(sizes):
+            raise ValueError(f"table needs {_prod(sizes)} entries, got {len(arr)}")
         order = sorted(range(len(support)), key=lambda i: support[i][0].sort_key())
-        values = list(values)
         if order != list(range(len(support))):
             # permute the table so it matches the canonical place order
-            old_sizes = [
-                jet_space_size(place_data(u), w) for u, w in support for _ in range(arity)
-            ]
             axis_perm = [
                 order[block] * arity + coord
                 for block in range(len(support))
                 for coord in range(arity)
             ]
-            values = [values[i] for i in _mixed_radix_index(old_sizes, axis_perm).tolist()]
+            arr = arr[_mixed_radix_index(sizes, axis_perm)]
             support = [support[i] for i in order]
         self.field = field
         self.places = tuple(pw[0] for pw in support)
-        if len(set(self.places)) != len(self.places):
-            raise ValueError("duplicate place in support")
         self.windows = tuple(pw[1] for pw in support)
         self.arity = arity
-        self.values = values
-        self.mode = mode
-        if len(self.values) != self.table_size():
-            raise ValueError(
-                f"table needs {self.table_size()} entries, got {len(self.values)}"
-            )
+        self._set_table(arr, den, field.p, mode)
 
     # -- structure ---------------------------------------------------------------
 
@@ -336,24 +285,24 @@ class GlobalTestFunction:
             axes.extend([(pd, w)] * self.arity)
         return axes
 
-    def table_size(self) -> int:
-        n = 1
-        for pd, w in self.axis_list():
-            n *= jet_space_size(pd, w)
-        return n
-
     def window_at(self, u: Place) -> Window:
         return self.windows[self.places.index(u)]
 
     def _ops(self):
         return ops_for(place_data(self.places[0]), self.mode)
 
-    @classmethod
-    def _from_axes(cls, field, places, arity, table: _AxisTable):
-        support = []
-        for i, u in enumerate(places):
-            support.append((u, table.axes[i * arity][1]))
-        return cls(field, support, arity, table.values, table.mode)
+    def _with_rows(self, support, idx) -> "GlobalTestFunction":
+        """The table's rows at the flat positions idx, a -1 reading zero, as
+        a function on the given support (canonical order)."""
+        arr = self._arr
+        if (idx < 0).any():
+            zero = np.zeros((1, arr.shape[1]), dtype=arr.dtype)
+            if self.mode != "exact":
+                zero[0, 0] = self._ops().zero()
+            arr = np.concatenate([arr, zero])
+        return GlobalTestFunction._from_table(
+            self.field, support, self.arity, arr[idx], self._den, self.mode
+        )
 
     # -- evaluation ----------------------------------------------------------------
 
@@ -368,7 +317,7 @@ class GlobalTestFunction:
                 if jet.window != w:
                     raise ValueError("jet window mismatch")
                 idx = idx * D + jet_to_index(jet)
-        return self.values[idx]
+        return self._value(idx)
 
     def evaluate(self, fs):
         """phi(f_1, .., f_m) for rational functions integral outside S."""
@@ -490,9 +439,21 @@ def normalize_support(phi: GlobalTestFunction, extra_places) -> GlobalTestFuncti
             sizes.append(D)
             mapping.append(order_old[u] * phi.arity + coord if u in order_old else None)
     old_sizes = [jet_space_size(pd, w) for pd, w in phi.axis_list()]
-    idx = _mixed_radix_index(old_sizes, mapping, sizes)
-    out = [phi.values[i] for i in idx.tolist()]
-    return GlobalTestFunction(phi.field, new_support, phi.arity, out, phi.mode)
+    return phi._with_rows(new_support, _mixed_radix_index(old_sizes, mapping, sizes))
+
+
+def _reindex_places(phi: GlobalTestFunction, changes) -> GlobalTestFunction:
+    """new[.., a, ..] = old[.., look[a], ..] on every coordinate axis of
+    each place i in changes, which maps i to (new window, look); a look of
+    -1 reads zero.  The other axes are kept."""
+    support, sizes, lookups = [], [], []
+    for i, (u, w) in enumerate(phi.support()):
+        D = jet_space_size(place_data(u), w)
+        new_w, look = changes.get(i, (w, range(D)))
+        support.append((u, new_w))
+        sizes += [D] * phi.arity
+        lookups += [look] * phi.arity
+    return phi._with_rows(support, _lookup_index(sizes, lookups))
 
 
 def refine_place(phi: GlobalTestFunction, u: Place, new_M: int) -> GlobalTestFunction:
@@ -504,12 +465,10 @@ def refine_place(phi: GlobalTestFunction, u: Place, new_M: int) -> GlobalTestFun
     if new_M == w.M:
         return phi
     pd = place_data(u)
-    qd = pd.ku.q
-    drop = qd ** (new_M - w.M)
-    table = _AxisTable(phi.axis_list(), phi.values, phi.mode)
-    for coord in range(phi.arity):
-        table.reindex(i * phi.arity + coord, Window(w.N, new_M), lambda a: a // drop)
-    return GlobalTestFunction._from_axes(phi.field, phi.places, phi.arity, table)
+    new_win = Window(w.N, new_M)
+    drop = pd.ku.q ** (new_M - w.M)
+    look = np.arange(jet_space_size(pd, new_win)) // drop
+    return _reindex_places(phi, {i: (new_win, look)})
 
 
 def extend_place(phi: GlobalTestFunction, u: Place, new_N: int) -> GlobalTestFunction:
@@ -521,18 +480,21 @@ def extend_place(phi: GlobalTestFunction, u: Place, new_N: int) -> GlobalTestFun
     if new_N == w.N:
         return phi
     pd = place_data(u)
-    qd = pd.ku.q
     new_win = Window(new_N, w.M)
-    lead = qd ** (w.levels)
+    # jets with a nonzero digit above the old pole depth read zero
+    look = np.arange(jet_space_size(pd, new_win))
+    look[look >= jet_space_size(pd, w)] = -1
+    return _reindex_places(phi, {i: (new_win, look)})
 
-    def mapper(a):
-        high, low = divmod(a, lead)
-        return low if high == 0 else None
 
-    table = _AxisTable(phi.axis_list(), phi.values, phi.mode)
-    for coord in range(phi.arity):
-        table.reindex(i * phi.arity + coord, new_win, mapper)
-    return GlobalTestFunction._from_axes(phi.field, phi.places, phi.arity, table)
+def _transform_table(arr, den: int, axes):
+    """The placewise transform of the integer table arr / den on the given
+    (place data, window) axes: (arr, den) on the dual windows."""
+    sizes = [jet_space_size(pd, w) for pd, w in axes]
+    for axis, (pd, w) in enumerate(axes):
+        pre, post = _prod(sizes[:axis]), _prod(sizes[axis + 1 :])
+        arr, den = _rep_axis_transform(arr, den, pd, w, pre, post)
+    return arr, den
 
 
 def global_fourier(phi: GlobalTestFunction) -> GlobalTestFunction:
@@ -549,9 +511,19 @@ def global_fourier(phi: GlobalTestFunction) -> GlobalTestFunction:
         nu = place_data(u).nu
         if phi.window_at(u).M < nu:
             phi = refine_place(phi, u, nu)
-    table = _AxisTable(phi.axis_list(), phi.values, phi.mode)
-    table.transform_all()
-    return GlobalTestFunction._from_axes(phi.field, phi.places, phi.arity, table)
+    axes = phi.axis_list()
+    for pd, w in axes:
+        _check_transformable(pd, w)
+    dual = [(u, w.dual(place_data(u).nu)) for u, w in phi.support()]
+    if phi.mode == "exact":
+        arr, den = _transform_table(phi._arr, phi._den, axes)
+        return GlobalTestFunction._from_table(phi.field, dual, phi.arity, arr, den)
+    sizes = [jet_space_size(pd, w) for pd, w in axes]
+    values = phi.values
+    for axis, (pd, w) in enumerate(axes):
+        pre, post = _prod(sizes[:axis]), _prod(sizes[axis + 1 :])
+        values, _ = _generic_axis_transform(values, ops_for(pd, phi.mode), pd, w, pre, post)
+    return GlobalTestFunction(phi.field, dual, phi.arity, values, phi.mode)
 
 
 def translate(phi: GlobalTestFunction, a: RationalFn) -> GlobalTestFunction:
@@ -572,19 +544,14 @@ def translate(phi: GlobalTestFunction, a: RationalFn) -> GlobalTestFunction:
     for u, depth in pole_places:
         if phi.window_at(u).N < depth:
             phi = extend_place(phi, u, depth)
-    table = _AxisTable(phi.axis_list(), phi.values, phi.mode)
-    for i, u in enumerate(phi.places):
-        w = phi.window_at(u)
+    changes = {}
+    for i, (u, w) in enumerate(phi.support()):
         pd = place_data(u)
         ajet = jet_at(a, u, w)
-        if ajet.is_zero():
-            continue
-        D = jet_space_size(pd, w)
-        from .localfield import index_to_jet as _itj
-
-        shift = [jet_to_index(_itj(pd, w, x) + ajet) for x in range(D)]
-        table.reindex(i, w, lambda x: shift[x])
-    return GlobalTestFunction._from_axes(phi.field, phi.places, phi.arity, table)
+        if not ajet.is_zero():
+            D = jet_space_size(pd, w)
+            changes[i] = (w, [jet_to_index(index_to_jet(pd, w, x) + ajet) for x in range(D)])
+    return _reindex_places(phi, changes)
 
 
 def mult_by_residue_character(phi: GlobalTestFunction, a: RationalFn) -> GlobalTestFunction:
@@ -634,15 +601,22 @@ def mult_by_residue_character(phi: GlobalTestFunction, a: RationalFn) -> GlobalT
                     tot = tot + c * x
             exps.append(pd.trace_to_base_codes[tot.code])
         place_exp.append(exps)
-    # the character's exponent in every cell: a sum over the place axes
-    q, add_q = phi.field.q, phi.field.add_code
-    add = np.array([[add_q(a, b) for b in range(q)] for a in range(q)], dtype=np.int64)
+    # the character's F_q exponent in every cell: a sum over the place axes
+    add = _field_code_tables(phi.field)[1]
     e = np.zeros((), dtype=np.int64)
     for exps in place_exp:
         e = add[e[..., None], np.array(exps, dtype=np.int64)]
-    psi = [ops.psi_base(c) for c in range(q)]
-    values = [v * psi[k] for v, k in zip(phi.values, e.reshape(-1).tolist())]
-    return GlobalTestFunction(phi.field, phi.support(), 1, values, phi.mode)
+    e = e.reshape(-1)
+    if phi.mode != "exact":
+        psi = [ops.psi_base(c) for c in range(phi.field.q)]
+        values = [v * psi[k] for v, k in zip(phi.values, e.tolist())]
+        return GlobalTestFunction(phi.field, phi.support(), 1, values, phi.mode)
+    # psi(c) = zeta^r(c), and times zeta^r the row's coefficients move r
+    # places along the zeta-power basis
+    p = phi.field.p
+    r = np.array(ops._base_exp, dtype=np.int64)[e]
+    arr = np.take_along_axis(phi._arr, (np.arange(p) - r[:, None]) % p, axis=1)
+    return GlobalTestFunction._from_table(phi.field, phi.support(), 1, arr, phi._den)
 
 
 def scale_variable(phi: GlobalTestFunction, a: RationalFn) -> GlobalTestFunction:
@@ -662,8 +636,7 @@ def scale_variable(phi: GlobalTestFunction, a: RationalFn) -> GlobalTestFunction
     new = [u for u in dict.fromkeys(extra) if u not in phi.places]
     if new:
         phi = normalize_support(phi, new)
-    table = _AxisTable(phi.axis_list(), phi.values, phi.mode)
-    new_support = []
+    changes = {}
     for i, (u, w) in enumerate(phi.support()):
         pd = place_data(u)
         v_a = u.valuation(a)
@@ -683,9 +656,8 @@ def scale_variable(phi: GlobalTestFunction, a: RationalFn) -> GlobalTestFunction
                     if -w.N <= k < w.M and ai < sa.hi:
                         prod[k + w.N] = prod[k + w.N] + sa.at(ai) * xc
             mapping.append(jet_to_index(JetVector(pd, w, prod)))
-        table.reindex(i, new_win, lambda x: mapping[x])
-        new_support.append((u, new_win))
-    return GlobalTestFunction(phi.field, new_support, 1, table.values, phi.mode)
+        changes[i] = (new_win, mapping)
+    return _reindex_places(phi, changes)
 
 
 _COUNT_CACHE: dict = {}
@@ -698,7 +670,7 @@ def _member_jet_codes(u: Place, window: Window, basis) -> np.ndarray:
     c_i in row-major order, and their jets are summed level by level with
     the residue field's code tables."""
     pd = place_data(u)
-    _, mul, add = _char_kernel_tensors(pd)
+    mul, add = _code_tables(pd)
     embed = np.array(pd.ku._embedding_table(pd.base), dtype=np.int64)
     codes = np.zeros((1, window.levels), dtype=np.int64)
     for b in basis:
@@ -757,10 +729,12 @@ def delta_K(phi: GlobalTestFunction, max_enum: int = 1 << 20):
     if phi.mode != "exact":
         raise ValueError("the rational-point sum is specialized; use exact mode")
     counts = jet_counts(phi.field, phi.support(), phi.arity, max_enum)
-    acc = phi._ops().zero()
-    for j in np.flatnonzero(counts).tolist():
-        acc = acc + phi.values[j] * int(counts[j])
-    return acc
+    # one integer dot: each sum is at most sum(counts) * max|entry|
+    arr = _int64_or_object(phi._arr, int(counts.sum()))
+    if arr.dtype == object:
+        counts = counts.astype(object)
+    total = counts @ arr
+    return cyc_normalize(phi.field.p, [Fraction(int(x), phi._den) for x in total])
 
 
 def poisson_report(phi: GlobalTestFunction, max_enum: int = 1 << 20) -> dict:
@@ -799,35 +773,16 @@ def simple_coset_functions(field, places_list, max_window=Window(1, 1)):
     """
     pds = [place_data(u) for u in places_list]
     per_place_choices = [_coset_choices(pd, max_window) for pd in pds]
-    ops = ops_for(pds[0], "exact")
-    one, zero = ops.one(), ops.zero()
     sizes = [jet_space_size(pd, max_window) for pd in pds]
     for combo in itertools.product(*per_place_choices):
         label = ",".join(f"{u!r}:{c[0]}" for u, c in zip(places_list, combo))
-        values = [zero] * _prod(sizes)
-        # fill the product of jet sets
-        for jets in itertools.product(*[range(c[1], c[1] + c[2]) for c in combo]):
-            idx = 0
-            for D, j in zip(sizes, jets):
-                idx = idx * D + j
-            values[idx] = one
-        yield label, GlobalTestFunction(
-            field, [(u, max_window) for u in places_list], 1, values
+        # 1 on the product of the places' jet runs
+        arr = np.zeros((_prod(sizes), field.p), dtype=np.int64)
+        runs = [range(first, first + count) for _, first, count in combo]
+        arr[_lookup_index(sizes, runs), 0] = 1
+        yield label, GlobalTestFunction._from_table(
+            field, [(u, max_window) for u in places_list], 1, arr, 1
         )
-
-
-def _transform_counts(field, axes, counts: np.ndarray):
-    """The placewise transform of an integer table, as (arr, den): arr[j]
-    over zeta^0..zeta^(p-1), every entry over the common denominator den;
-    int64 while the sums fit and Python ints past that."""
-    arr = np.zeros((counts.size, field.p), dtype=np.int64)
-    arr[:, 0] = counts
-    rep = _IntRep(arr, 1)
-    sizes = [jet_space_size(pd, w) for pd, w in axes]
-    for axis, (pd, w) in enumerate(axes):
-        pre, post = _prod(sizes[:axis]), _prod(sizes[axis + 1 :])
-        rep = _rep_axis_transform(rep, pd, w, pre, post)[0]
-    return rep.arr, rep.den
 
 
 def _poisson_functionals(field, support, max_enum=1 << 20, check=None):
@@ -872,7 +827,9 @@ def _poisson_functionals(field, support, max_enum=1 << 20, check=None):
     c_dual = jet_counts(field, [(u, w) for u, (_, w) in zip(wide, dual_axes)], 1, max_enum)
 
     check("poisson dual transform")
-    g, den = _transform_counts(field, dual_axes, c_dual)
+    rows = np.zeros((c_dual.size, p), dtype=np.int64)
+    rows[:, 0] = c_dual
+    g, den = _transform_table(rows, 1, dual_axes)
     scale = Fraction(1)
     for (pd, w), (_, wd) in zip(axes, dual_axes):
         scale *= Fraction(pd.base.q) ** (pd.d * (wd.M - w.M))

@@ -9,12 +9,14 @@ dense tables over jets; values are CycScalar (exact mode) or MotivicClass
 
 whose output window is (M - nu, N + nu); with this normalization the
 inversion F(F(phi))(x) = phi(-x) and the Riemann-Roch scalar in the global
-theory hold exactly.  Exact-mode tables are converted to integer vectors
-over the zeta_p-power basis with one common denominator and contracted one
-jet axis at a time, by one matmul per level and a gather.  The arrays are
-numpy int64 while every sum provably fits, and object arrays of Python ints
-otherwise, through the same reshape/matmul/gather; symbolic tables take a
-direct double sum.
+theory hold exactly.  An exact table is stored once, as integer rows over
+the zeta_p-power basis zeta^0..zeta^(p-1) with one common denominator:
+numpy int64 while every entry is below the overflow guard, object arrays
+of Python ints past it.  Transforms, reindexing and sums work on that
+array, one jet axis at a time by one matmul per level and a gather;
+CycScalar values are built only when they are read.  Symbolic tables keep
+their MotivicClass values in one object column and take a direct double
+sum.
 """
 
 from __future__ import annotations
@@ -289,34 +291,46 @@ def ops_for(pd: PlaceData, mode: str):
 # -- the transform engine -------------------------------------------------------
 
 
-def _char_kernel_tensors(pd: PlaceData):
-    """Rotation tensor for the dot-pairing transform over k_u, plus tables.
-    Cached on the place data; building them is much dearer than using them."""
-    cached = getattr(pd, "_kernel_tensors", None)
-    if cached is not None:
-        return cached
-    q, p = pd.ku.q, pd.base.p
-    exps = pd.psi_exponents
-    pd.ku._ensure_tables()
-    if pd.ku._mul_table is not None:
-        mul = np.array(pd.ku._mul_table, dtype=np.int64).reshape(q, q)
-        add = np.array(pd.ku._add_table, dtype=np.int64).reshape(q, q)
-    else:
-        mul = np.array(
-            [[pd.ku.mul_code(a, b) for b in range(q)] for a in range(q)], dtype=np.int64
+def _field_code_tables(field):
+    """mul and add of a field as (q, q) int64 code tables."""
+    q = field.q
+    field._ensure_tables()
+    if field._mul_table is not None:
+        return tuple(
+            np.array(t, dtype=np.int64).reshape(q, q)
+            for t in (field._mul_table, field._add_table)
         )
-        add = np.array(
-            [[pd.ku.add_code(a, b) for b in range(q)] for a in range(q)], dtype=np.int64
-        )
-    E = np.array(exps, dtype=np.int64)[mul]  # E[b, a] = exponent of Tr(z_b z_a)
-    ker = np.zeros((q, q, p, p), dtype=np.int64)
-    for b in range(q):
-        for a in range(q):
-            r = int(E[b, a])
-            for pi in range(p):
-                ker[b, a, (pi + r) % p, pi] = 1
-    pd._kernel_tensors = (ker, mul, add)
-    return pd._kernel_tensors
+    return tuple(
+        np.array([[op(a, b) for b in range(q)] for a in range(q)], dtype=np.int64)
+        for op in (field.mul_code, field.add_code)
+    )
+
+
+def _code_tables(pd: PlaceData):
+    """The residue field's (mul, add) code tables, cached on the place data."""
+    got = getattr(pd, "_code_tables", None)
+    if got is None:
+        got = pd._code_tables = _field_code_tables(pd.ku)
+    return got
+
+
+def _kernel_matmul(pd: PlaceData, dtype) -> np.ndarray:
+    """The levelwise character transform as a (Q p, Q p) 0/1 matrix: row
+    a p + i, column b p + o is 1 where o = i + E[b, a] mod p, with E[b, a]
+    the exponent of psi(Tr(z_b z_a)).  Built once per place from E; the
+    object copy is made when an object table first needs it."""
+    kernels = getattr(pd, "_kernel_matmul", None)
+    if kernels is None:
+        Q, p = pd.ku.q, pd.base.p
+        E = np.array(pd.psi_exponents, dtype=np.int64)[_code_tables(pd)[0]]
+        a, i, b = np.ix_(range(Q), range(p), range(Q))
+        ker = np.zeros((Q, p, Q, p), dtype=np.int64)
+        ker[a, i, b, (i + E[b, a]) % p] = 1
+        kernels = pd._kernel_matmul = {ker.dtype: ker.reshape(Q * p, Q * p)}
+    got = kernels.get(dtype)
+    if got is None:
+        got = kernels[dtype] = kernels[np.dtype(np.int64)].astype(dtype)
+    return got
 
 
 _DIGIT_CACHE: dict[tuple[int, int], np.ndarray] = {}
@@ -380,24 +394,45 @@ def _int_to_values(arr, den: int, p: int):
     return out
 
 
-class _IntRep:
-    """Exact integer image of a value table: arr[i] / den on the zeta-power
-    basis (length p, unnormalized); carried through multi-axis transforms to
-    avoid rebuilding exact scalars at every step."""
-
-    __slots__ = ("arr", "den")
-
-    def __init__(self, arr, den: int):
-        self.arr = arr
-        self.den = den
+def _table_of(values, p: int, mode: str):
+    """(arr, den) of a list of table values: exact values as integer rows,
+    symbolic ones as one object column over the denominator 1."""
+    if mode == "exact":
+        return _values_to_int(values, p)
+    col = np.empty((len(values), 1), dtype=object)
+    col[:, 0] = values
+    return col, 1
 
 
-def _to_rep(values, p: int) -> _IntRep:
-    return _IntRep(*_values_to_int(values, p))
+class _Table:
+    """The storage of a dense table: row i of _arr, over _den, is entry i
+    on the basis zeta^0..zeta^(p-1), int64 below _INT64_GUARD and Python
+    ints past it; a symbolic table has one object column of MotivicClass
+    values and _den = 1.  Exact scalars are built only when read."""
 
+    _values = None
 
-def _rep_to_values(rep: _IntRep, p: int):
-    return _int_to_values(rep.arr, rep.den, p)
+    def _set_table(self, arr, den: int, p: int, mode: str):
+        self._arr, self._den, self._p, self.mode = arr, den, p, mode
+        self._values = None
+
+    @property
+    def values(self) -> list:
+        """Every entry as a scalar, built on first access; do not mutate."""
+        if self._values is None:
+            if self.mode == "exact":
+                self._values = _int_to_values(self._arr, self._den, self._p)
+            else:
+                self._values = self._arr[:, 0].tolist()
+        return self._values
+
+    def _value(self, idx: int):
+        """Entry idx, building no other entry."""
+        if self._values is not None:
+            return self._values[idx]
+        if self.mode == "exact":
+            return _int_to_values(self._arr[idx : idx + 1], self._den, self._p)[0]
+        return self._arr[idx, 0]
 
 
 def _contract_levels(arr, pd: PlaceData, K: int, pre: int, post: int):
@@ -407,12 +442,7 @@ def _contract_levels(arr, pd: PlaceData, K: int, pre: int, post: int):
     (pre, Q**K, post, p).  The dtype of arr is kept, so the caller decides
     whether int64 sums fit: each level multiplies max|entry| by Q."""
     p, Q = pd.base.p, pd.ku.q
-    kernels = getattr(pd, "_kernel_matmul", None)
-    if kernels is None:
-        ker = _char_kernel_tensors(pd)[0]
-        ker2 = np.ascontiguousarray(ker.transpose(1, 3, 0, 2).reshape(Q * p, Q * p))
-        kernels = pd._kernel_matmul = {ker2.dtype: ker2, np.dtype(object): ker2.astype(object)}
-    ker2 = kernels[arr.dtype]
+    ker2 = _kernel_matmul(pd, arr.dtype)
     work = arr.reshape(pre, *([Q] * K), post, p)
     for axis in range(1, K + 1):
         work = np.moveaxis(work, axis, len(work.shape) - 2)
@@ -432,7 +462,7 @@ def _dual_gather_index(pd: PlaceData, win: Window) -> np.ndarray:
     got = cache.get(win)
     if got is not None:
         return got
-    _, mul, add = _char_kernel_tensors(pd)
+    mul, add = _code_tables(pd)
     Q, K = pd.ku.q, win.levels
     W = pairing_matrix(pd, win.dual(pd.nu), win)
     digits = _digit_matrix(Q, K)
@@ -448,20 +478,20 @@ def _dual_gather_index(pd: PlaceData, win: Window) -> np.ndarray:
     return g_idx
 
 
-def _rep_axis_transform(rep: _IntRep, pd: PlaceData, win: Window, pre: int, post: int):
-    """One jet-space axis of the integer table; returns (rep, dual).  The
-    table runs in int64 while the sums provably fit and in Python ints
-    otherwise, through the same contraction."""
+def _rep_axis_transform(arr, den: int, pd: PlaceData, win: Window, pre: int, post: int):
+    """One jet-space axis of the integer table arr / den, viewed as (pre,
+    jets, post) rows; returns the transformed (arr, den) on the dual
+    window.  The table runs in int64 while the sums provably fit and in
+    Python ints otherwise, through the same contraction."""
     p = pd.base.p
     K = win.levels
     scale = Fraction(pd.base.q) ** (pd.d * (pd.nu // 2 - win.M))
-    arr = _int64_or_object(rep.arr, pd.ku.q**K * 4 * scale.numerator)
+    arr = _int64_or_object(arr, pd.ku.q**K * 4 * scale.numerator)
     g = _contract_levels(arr, pd, K, pre, post)
     out = g[:, _dual_gather_index(pd, win), :, :]
     if scale.numerator != 1:
         out = out * scale.numerator
-    out = np.ascontiguousarray(out.reshape(-1, p))
-    return _IntRep(out, rep.den * scale.denominator), win.dual(pd.nu)
+    return np.ascontiguousarray(out.reshape(-1, p)), den * scale.denominator
 
 
 def _generic_axis_transform(values, ops, pd: PlaceData, win: Window, pre: int, post: int):
@@ -527,7 +557,7 @@ def _check_transformable(pd: PlaceData, win: Window):
 # -- local test functions ---------------------------------------------------------
 
 
-class LocalTestFunction:
+class LocalTestFunction(_Table):
     """Dense value table on (jet space)^arity at a single place.
 
     Axis order: coordinate 0 is the most significant index block.
@@ -541,8 +571,16 @@ class LocalTestFunction:
         self.pd = pd
         self.window = window
         self.arity = arity
-        self.values = values
-        self.mode = mode
+        self._set_table(*_table_of(values, pd.base.p, mode), pd.base.p, mode)
+        self._values = values
+
+    @classmethod
+    def _from_table(cls, pd, window, arity, arr, den, mode="exact"):
+        """A table given in the _Table layout, taken as it is."""
+        phi = cls.__new__(cls)
+        phi.pd, phi.window, phi.arity = pd, window, arity
+        phi._set_table(arr, den, pd.base.p, mode)
+        return phi
 
     # -- constructors --------------------------------------------------------
 
@@ -576,16 +614,15 @@ class LocalTestFunction:
 
     @classmethod
     def delta(cls, pd, window, jet_index: int, mode="exact"):
-        ops = ops_for(pd, mode)
         D = jet_space_size(pd, window)
-        vals = [ops.zero()] * D
-        vals[jet_index] = ops.one()
-        phi = cls(pd, window, 1, vals, mode)
         if mode == "exact":
             arr = np.zeros((D, pd.base.p), dtype=np.int64)
             arr[jet_index, 0] = 1
-            phi._int_rep = _IntRep(arr, 1)
-        return phi
+            return cls._from_table(pd, window, 1, arr, 1)
+        ops = ops_for(pd, mode)
+        vals = [ops.zero()] * D
+        vals[jet_index] = ops.one()
+        return cls(pd, window, 1, vals, mode)
 
     @classmethod
     def zero_function(cls, pd, window, arity=1, mode="exact"):
@@ -604,7 +641,7 @@ class LocalTestFunction:
             if jet.window != self.window:
                 raise ValueError("jet window mismatch")
             idx = idx * D + jet_to_index(jet)
-        return self.values[idx]
+        return self._value(idx)
 
     def scaled(self, factor) -> "LocalTestFunction":
         return LocalTestFunction(
@@ -718,12 +755,10 @@ def fourier_multi(phi: LocalTestFunction) -> LocalTestFunction:
     D = jet_space_size(pd, win)
     dual = win.dual(pd.nu)
     if phi.mode == "exact":
-        rep = getattr(phi, "_int_rep", None) or _to_rep(phi.values, pd.base.p)
+        arr, den = phi._arr, phi._den
         for axis in range(phi.arity):
-            rep = _rep_axis_transform(rep, pd, win, D**axis, D ** (phi.arity - axis - 1))[0]
-        out = LocalTestFunction(pd, dual, phi.arity, _rep_to_values(rep, pd.base.p), phi.mode)
-        out._int_rep = rep
-        return out
+            arr, den = _rep_axis_transform(arr, den, pd, win, D**axis, D ** (phi.arity - axis - 1))
+        return LocalTestFunction._from_table(pd, dual, phi.arity, arr, den)
     ops = ops_for(pd, phi.mode)
     values = phi.values
     for axis in range(phi.arity):
@@ -731,55 +766,3 @@ def fourier_multi(phi: LocalTestFunction) -> LocalTestFunction:
         post = D ** (phi.arity - axis - 1)
         values, _ = _generic_axis_transform(values, ops, pd, win, pre, post)
     return LocalTestFunction(pd, dual, phi.arity, values, phi.mode)
-
-
-def residue_pair(x: JetVector, y: JetVector) -> FieldElem:
-    """r(x y) in the base field, for x on the dual window of y's."""
-    pd = x.pd
-    W = pairing_matrix(pd, x.window, y.window)
-    acc = 0
-    for i in range(x.window.levels):
-        xc = x.coeffs[i].code
-        if xc:
-            row = W[i]
-            for j in range(y.window.levels):
-                wc = row[j]
-                yc = y.coeffs[j].code
-                if wc and yc:
-                    acc = pd.ku.add_code(acc, pd.ku.mul_code(pd.ku.mul_code(xc, wc), yc))
-    return pd.base.from_code(pd.trace_to_base_codes[acc])
-
-
-def fourier_direct(phi: LocalTestFunction) -> LocalTestFunction:
-    """Brute-force multi-coordinate transform straight from the definition;
-    kept as a cross-check oracle for fourier_multi."""
-    ops = ops_for(phi.pd, phi.mode)
-    pd, win, m = phi.pd, phi.window, phi.arity
-    if win.M < pd.nu:
-        raise ValueError("window too shallow for nu; refine first")
-    dual = win.dual(pd.nu)
-    D = jet_space_size(pd, win)
-    psi_vals = [ops.psi_base(c) for c in range(pd.base.q)]
-    add_q = pd.base.add_code
-
-    def jets_of(idx, window):
-        parts, k = [], idx
-        for _ in range(m):
-            parts.append(k % D)
-            k //= D
-        parts.reverse()
-        return [index_to_jet(pd, window, j) for j in parts]
-
-    shift = pd.d * (pd.nu // 2 - win.M) * m
-    out = []
-    for xidx in range(D**m):
-        xjets = jets_of(xidx, dual)
-        acc = ops.zero()
-        for yidx in range(D**m):
-            yjets = jets_of(yidx, win)
-            e = 0
-            for xj, yj in zip(xjets, yjets):
-                e = add_q(e, residue_pair(xj, yj).code)
-            acc = acc + phi.values[yidx] * psi_vals[e]
-        out.append(ops.scale(acc, shift))
-    return LocalTestFunction(pd, dual, m, out, phi.mode)

@@ -207,6 +207,25 @@ class Series:
 # ---------------------------------------------------------------------------
 
 
+def coordinate_tables(base: FieldDescriptor, big: FieldDescriptor, basis):
+    """F_q-coordinates on a basis of an extension big of base = F_q:
+    (fwd, rev) with fwd[z.code] the base codes (c_0, .., c_{d-1}) such that
+    z = sum_i embed(c_i) basis_i, and rev the inverse map.  One linear
+    system over F_p is solved per element of big."""
+    p, e, d = base.p, base.e, len(basis)
+    fp = make_field(p, 1)
+    cols = [(b * big.embed(base.gen() ** l)).coeffs() for b in basis for l in range(e)]
+    matrix = [[fp.from_code(cols[c][r]) for c in range(d * e)] for r in range(d * e)]
+    fwd: dict[int, tuple[int, ...]] = {}
+    rev: dict[tuple[int, ...], int] = {}
+    for z in big.elements():
+        sol = linalg.solve(matrix, [fp.from_code(c) for c in z.coeffs()])
+        vec = tuple(base.code_of([sol[i * e + l].code for l in range(e)]) for i in range(d))
+        fwd[z.code] = vec
+        rev[vec] = z.code
+    return fwd, rev
+
+
 class PlaceData:
     """Everything one place contributes to local analysis.
 
@@ -329,23 +348,6 @@ class PlaceData:
 
     # -- residue-field coordinates over F_q --------------------------------------
 
-    def _coord_matrix(self):
-        base, ku = self.base, self.ku
-        p, e, d = base.p, base.e, self.d
-        fp = make_field(p, 1)
-        theta = self.theta if self.theta is not None else ku.gen()
-        cols = []
-        for i in range(d):
-            ti = theta**i
-            for l in range(e):
-                b = base.gen() ** l
-                z = ti * ku.embed(b)
-                cols.append(z.coeffs())
-        matrix = [
-            [fp.from_code(cols[j][i]) for j in range(e * d)] for i in range(e * d)
-        ]
-        return matrix, fp
-
     def coords(self, z: FieldElem) -> tuple[int, ...]:
         """F_q-codes (c_0..c_{d-1}) with z = sum embed(c_i) * theta^i."""
         if self._coord_cache is None:
@@ -358,23 +360,9 @@ class PlaceData:
         return self.ku.from_code(self._uncoord_cache[tuple(vec)])
 
     def _build_coord_tables(self):
-        base, ku = self.base, self.ku
-        e, d = base.e, self.d
-        matrix, fp = self._coord_matrix()
-        theta = self.theta if self.theta is not None else ku.gen()
-        fwd: dict[int, tuple[int, ...]] = {}
-        rev: dict[tuple[int, ...], int] = {}
-        for z in ku.elements():
-            rhs = [fp.from_code(c) for c in z.coeffs()]
-            sol = linalg.solve(matrix, rhs)
-            vec = []
-            for i in range(d):
-                code = base.code_of([sol[i * e + l].code for l in range(e)])
-                vec.append(code)
-            vec = tuple(vec)
-            fwd[z.code] = vec
-            rev[vec] = z.code
-        self._coord_cache, self._uncoord_cache = fwd, rev
+        theta = self.theta if self.theta is not None else self.ku.gen()
+        basis = [theta**i for i in range(self.d)]
+        self._coord_cache, self._uncoord_cache = coordinate_tables(self.base, self.ku, basis)
 
     # -- residue-field maps used by pairings -------------------------------------
 

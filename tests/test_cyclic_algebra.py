@@ -583,6 +583,26 @@ def test_theorem_a_small_window():
         assert ok and all(r["equal"] for r in ok)
 
 
+def test_theorem_a_converts_only_the_rows_it_reads(monkeypatch):
+    # the transformed tables stay integer arrays; each compared value is
+    # one row turned into an exact scalar
+    from ffpoisson import localfield
+
+    rows = []
+    to_values = localfield._int_to_values
+
+    def spy(arr, den, p):
+        rows.append(len(arr))
+        return to_values(arr, den, p)
+
+    monkeypatch.setattr(localfield, "_int_to_values", spy)
+    pairs = default_pair_list(D3, D3dot, count=6, seed=3)
+    report = theorem_a_report(D3, D3dot, RecipePsiTrace(), pairs, Window(0, 1))
+    compared = [r for r in report if r["status"] == "ok"]
+    assert compared and all(r["equal"] for r in compared)
+    assert rows == [1] * (2 * len(compared))
+
+
 def test_theorem_a_skips_non_regular():
     central = AlgebraElement.central(D3, RationalFn.one(F2))
     central_dot = AlgebraElement.central(D3dot, RationalFn.one(F2))

@@ -204,6 +204,67 @@ def test_delta_K_linearity():
     assert delta_K(phi.scaled(lam)) == delta_K(phi) * lam
 
 
+def _big_entries(p, size, kind, seed):
+    """sum: positive integers of 2^59..2^60, below the int64 guard, of which
+    any 16 sum past 2^63; huge: numerators past 2^64 over non-unit
+    denominators."""
+    rng = random.Random(seed)
+    vals = []
+    for _ in range(size):
+        if kind == "sum":
+            coeffs = [Fraction(rng.randrange(2**59, 2**60)) for _ in range(p - 1)]
+        else:
+            coeffs = [
+                Fraction(rng.choice((-1, 1)) * rng.randrange(2**64, 2**66), rng.choice((3, 5, 7)))
+                for _ in range(p - 1)
+            ]
+        vals.append(CycScalar(p, coeffs))
+    return vals
+
+
+@pytest.mark.parametrize("kind", ["sum", "huge"])
+@pytest.mark.parametrize("field", [F2, F3])
+def test_delta_K_past_int64_equals_scalar_sum(field, kind):
+    # L(2[inf] + [0]) has q^4 >= 16 members, so the count-weighted sum of
+    # the "sum" entries passes 2^63 although every entry fits int64
+    support = [(Place.infinity(field), Window(2, 1)), (Place.at(field, 0), Window(1, 1))]
+    size = 1
+    for u, w in support:
+        size *= jet_space_size(place_data(u), w)
+    phi = GlobalTestFunction(field, support, 1, _big_entries(field.p, size, kind, seed=size))
+    assert (phi._arr.dtype == object) == (kind == "huge")
+
+    def scalar_sum(fn):
+        counts = jet_counts(field, fn.support(), 1)
+        acc = CycScalar.zero(field.p)
+        for j in np.flatnonzero(counts).tolist():
+            acc = acc + fn.values[j] * int(counts[j])
+        return acc
+
+    rep = poisson_report(phi)
+    assert rep["lhs"] == delta_K(phi) == scalar_sum(phi)
+    assert rep["rhs"] == scalar_sum(global_fourier(phi))
+    assert rep["equal"]
+
+
+def test_poisson_report_builds_no_scalar_table(monkeypatch):
+    # exact tables stay integer arrays from construction to the sums
+    rows = []
+    to_values = localfield._int_to_values
+
+    def spy(arr, den, p):
+        rows.append(len(arr))
+        return to_values(arr, den, p)
+
+    monkeypatch.setattr(localfield, "_int_to_values", spy)
+    for field, text in ((F2, "t;t^2+t+1"), (F3, "inf;t")):
+        places = [parse_place(s, field) for s in text.split(";")]
+        for _, phi in itertools.islice(simple_coset_functions(field, places), 0, None, 7):
+            assert poisson_report(phi)["equal"]
+            global_fourier(phi)
+    assert rows == []
+
+
 def test_delta_K_budget():
     # L(12 [inf]) has 2^13 members, over the budget of 2^10
     win = Window(12, 1)

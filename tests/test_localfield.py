@@ -14,23 +14,22 @@ from ffpoisson.localfield import (
     alpha_encode,
     extend_zero,
     fourier1,
-    fourier_direct,
     fourier_multi,
     index_to_jet,
     integrate,
     jet_space_size,
     jet_to_index,
     ops_for,
+    pairing_matrix,
     refine,
     residue,
-    residue_pair,
     residue_trace,
     restrict,
 )
 from ffpoisson.motivic import MotivicClass
 from ffpoisson.place import Place, PlaceData, place_data
 from ffpoisson.poly import Poly, RationalFn
-from ffpoisson.scalars import CycScalar, make_field
+from ffpoisson.scalars import CycScalar, FieldElem, make_field
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -38,6 +37,58 @@ F3 = make_field(3)
 
 def synth(field, d=1, nu=0):
     return PlaceData.synthetic(field, d, nu)
+
+
+def residue_pair(x: JetVector, y: JetVector) -> FieldElem:
+    """r(x y) in the base field, for x on the dual window of y's."""
+    pd = x.pd
+    W = pairing_matrix(pd, x.window, y.window)
+    acc = 0
+    for i in range(x.window.levels):
+        xc = x.coeffs[i].code
+        if xc:
+            row = W[i]
+            for j in range(y.window.levels):
+                wc = row[j]
+                yc = y.coeffs[j].code
+                if wc and yc:
+                    acc = pd.ku.add_code(acc, pd.ku.mul_code(pd.ku.mul_code(xc, wc), yc))
+    return pd.base.from_code(pd.trace_to_base_codes[acc])
+
+
+def fourier_direct(phi: LocalTestFunction) -> LocalTestFunction:
+    """Brute-force multi-coordinate transform straight from the definition:
+    the cross-check oracle for fourier_multi."""
+    ops = ops_for(phi.pd, phi.mode)
+    pd, win, m = phi.pd, phi.window, phi.arity
+    if win.M < pd.nu:
+        raise ValueError("window too shallow for nu; refine first")
+    dual = win.dual(pd.nu)
+    D = jet_space_size(pd, win)
+    psi_vals = [ops.psi_base(c) for c in range(pd.base.q)]
+    add_q = pd.base.add_code
+
+    def jets_of(idx, window):
+        parts, k = [], idx
+        for _ in range(m):
+            parts.append(k % D)
+            k //= D
+        parts.reverse()
+        return [index_to_jet(pd, window, j) for j in parts]
+
+    shift = pd.d * (pd.nu // 2 - win.M) * m
+    out = []
+    for xidx in range(D**m):
+        xjets = jets_of(xidx, dual)
+        acc = ops.zero()
+        for yidx in range(D**m):
+            yjets = jets_of(yidx, win)
+            e = 0
+            for xj, yj in zip(xjets, yjets):
+                e = add_q(e, residue_pair(xj, yj).code)
+            acc = acc + phi.values[yidx] * psi_vals[e]
+        out.append(ops.scale(acc, shift))
+    return LocalTestFunction(pd, dual, m, out, phi.mode)
 
 
 # -- jets and the coefficient isomorphism -------------------------------------
@@ -386,8 +437,13 @@ def test_fourier_switches_to_python_ints_between_axes(monkeypatch):
         return contract(arr, *args)
 
     monkeypatch.setattr(localfield, "_contract_levels", spy)
+    fourier_multi(LocalTestFunction.delta(pd, win, 3))
+    # the kernel's object copy is made only once an object table arrives
+    assert list(pd._kernel_matmul) == [np.dtype(np.int64)]
+    dtypes.clear()
     out = fourier_multi(phi)
     assert dtypes == [np.dtype(np.int64), np.dtype(object)]
+    assert list(pd._kernel_matmul) == [np.dtype(np.int64), np.dtype(object)]
     assert out.table_equal(fourier_direct(phi))
     assert out.table_equal(_generic_exact(phi))
     assert fourier_multi(out).table_equal(phi)  # char 2: -x = x
