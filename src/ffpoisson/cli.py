@@ -80,7 +80,7 @@ def _tokenize(text: str):
 
 def parse_mpoly(text: str, field, nvars: int, var_prefix: str = "x") -> MPoly:
     """Parse an integer-coefficient polynomial expression into an MPoly."""
-    from .motivic import MPoly
+    from .poly import MPoly
 
     toks = _tokenize(text)
     pos = 0

@@ -230,9 +230,7 @@ class ExactOps:
         p = pd.base.p
         self.p = p
         self._zeta = [CycScalar.zeta_power(p, k) for k in range(p)]
-        from .scalars import trace
-
-        self._base_exp = [trace(pd.base.from_code(c), 1).code for c in range(pd.base.q)]
+        self._base_exp = pd.base.trace_table(1)
 
     def zero(self):
         return CycScalar.zero(self.p)
@@ -292,7 +290,9 @@ def ops_for(pd: PlaceData, mode: str):
 
 
 def _field_code_tables(field):
-    """mul and add of a field as (q, q) int64 code tables."""
+    """mul and add of a field as (q, q) int64 code tables: the dense tables,
+    or, past them, gathers from the log pair and the Zech table (XOR at
+    p = 2)."""
     q = field.q
     field._ensure_tables()
     if field._mul_table is not None:
@@ -300,10 +300,23 @@ def _field_code_tables(field):
             np.array(t, dtype=np.int64).reshape(q, q)
             for t in (field._mul_table, field._add_table)
         )
-    return tuple(
-        np.array([[op(a, b) for b in range(q)] for a in range(q)], dtype=np.int64)
-        for op in (field.mul_code, field.add_code)
-    )
+    field._ensure_log(force=True)
+    exp = np.array(field._exp, dtype=np.int64)
+    log = np.array(field._log, dtype=np.int64)
+    la, lb = log[:, None], log[None, :]
+    codes = np.arange(q, dtype=np.int64)
+    mul = exp[la + lb]
+    mul[0, :] = mul[:, 0] = 0
+    if field.p == 2:
+        add = codes[:, None] ^ codes[None, :]
+    else:
+        # a + b = g^(log a) (1 + g^(log b - log a)); zech -1 marks b = -a
+        zech = np.array([-1 if z is None else z for z in field._zech], dtype=np.int64)
+        z = zech[(lb - la) % (q - 1)]
+        add = exp[la + np.maximum(z, 0)]
+        add[z < 0] = 0
+        add[0, :] = add[:, 0] = codes
+    return mul, add
 
 
 def _code_tables(pd: PlaceData):

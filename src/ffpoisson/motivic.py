@@ -14,6 +14,11 @@ relations is attempted; classes are observed through the specialization
 which is a ring homomorphism for each degree d.  Galois orbits of points
 (closed points) support the norm identity and the two symmetric-power
 Euler-product expansions compared by euler_product.
+
+Everything is computed by counting: points are tuples of element codes,
+polynomials are evaluated with their monomials in the log domain, and a
+character sum is a histogram of trace residues, an integer vector over
+zeta^0..zeta^(p-1).  CycScalars are built only for the values returned.
 """
 
 from __future__ import annotations
@@ -21,124 +26,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .scalars import CycScalar, FieldDescriptor, FieldElem, make_field, psi
-
-
-# ---------------------------------------------------------------------------
-# Multivariate polynomials (sparse, exact)
-# ---------------------------------------------------------------------------
-
-
-class MPoly:
-    """Polynomial over F_q in nvars variables; terms map exponent tuples to
-    nonzero coefficient codes."""
-
-    __slots__ = ("field", "nvars", "terms")
-
-    def __init__(self, field: FieldDescriptor, nvars: int, terms: dict):
-        clean = {}
-        for exps, code in terms.items():
-            exps = tuple(exps)
-            if len(exps) != nvars:
-                raise ValueError("exponent tuple of the wrong length")
-            if code:
-                clean[exps] = code
-        self.field = field
-        self.nvars = nvars
-        self.terms = clean
-
-    @staticmethod
-    def zero(field, nvars):
-        return MPoly(field, nvars, {})
-
-    @staticmethod
-    def constant(field, nvars, value):
-        c = field.elem(value)
-        return MPoly(field, nvars, {(0,) * nvars: c.code})
-
-    @staticmethod
-    def var(field, nvars, i, power: int = 1):
-        exps = [0] * nvars
-        exps[i] = power
-        return MPoly(field, nvars, {tuple(exps): 1})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other: "MPoly") -> "MPoly":
-        f = self.field
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = f.add_code(out.get(e, 0), c)
-        return MPoly(f, self.nvars, out)
-
-    def __neg__(self):
-        f = self.field
-        return MPoly(f, self.nvars, {e: f.neg_code(c) for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other: "MPoly") -> "MPoly":
-        f = self.field
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = f.add_code(out.get(e, 0), f.mul_code(c1, c2))
-        return MPoly(f, self.nvars, out)
-
-    def shifted(self, offset: int, total: int) -> "MPoly":
-        """The same polynomial viewed in `total` variables, its own variables
-        placed starting at `offset`."""
-        out = {}
-        for e, c in self.terms.items():
-            new = [0] * total
-            for i, k in enumerate(e):
-                new[offset + i] = k
-            out[tuple(new)] = c
-        return MPoly(self.field, total, out)
-
-    def eval(self, point, big: FieldDescriptor | None = None) -> FieldElem:
-        big = point[0].field if point else (big or self.field)
-        acc = big.zero()
-        for exps, code in self.terms.items():
-            term = big.embed(self.field.from_code(code))
-            for x, k in zip(point, exps):
-                if k:
-                    term = term * x**k
-            acc = acc + term
-        return acc
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MPoly)
-            and other.field is self.field
-            and other.nvars == self.nvars
-            and other.terms == self.terms
-        )
-
-    def __hash__(self):
-        return hash((id(self.field), self.nvars, tuple(sorted(self.terms.items()))))
-
-    def to_json(self):
-        return [[list(e), c] for e, c in sorted(self.terms.items())]
-
-    @staticmethod
-    def from_json(field, nvars, data):
-        return MPoly(field, nvars, {tuple(e): c for e, c in data})
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for e, c in sorted(self.terms.items()):
-            mono = "*".join(
-                f"x{i}" + (f"^{k}" if k > 1 else "") for i, k in enumerate(e) if k
-            )
-            cs = str(c) if (c != 1 or not mono) else ""
-            parts.append(cs + ("*" if cs and mono else "") + mono)
-        return "+".join(parts)
+from .poly import MPoly
+from .scalars import CycScalar, FieldDescriptor, FieldElem, cyc_normalize, make_field
 
 
 # ---------------------------------------------------------------------------
@@ -190,21 +79,24 @@ class ConstructibleSet:
     def extension(self, d: int) -> FieldDescriptor:
         return make_field(self.field.p, self.field.e * d)
 
-    def contains(self, point) -> bool:
-        return all(f.eval(point).is_zero() for f in self.equations) and all(
-            not f.eval(point).is_zero() for f in self.inequations
-        )
-
-    def points(self, d: int = 1) -> list[tuple[FieldElem, ...]]:
-        """All F_{q^d}-points, in lexicographic element-code order."""
+    def point_codes(self, d: int = 1) -> list[tuple[int, ...]]:
+        """The codes of all F_{q^d}-points, in lexicographic order."""
         if d < 1:
             raise ValueError("extension degree must be >= 1")
         big = self.extension(d)
-        out = []
-        for tup in itertools.product(list(big.elements()), repeat=self.nvars):
-            if self.contains(tup):
-                out.append(tup)
-        return out
+        candidates = itertools.product(range(big.q), repeat=self.nvars)
+        if not self.equations and not self.inequations:
+            return list(candidates)
+        eqs = [f.code_evaluator(big) for f in self.equations]
+        neqs = [f.code_evaluator(big) for f in self.inequations]
+        return [
+            x for x in candidates if not any(f(x) for f in eqs) and all(f(x) for f in neqs)
+        ]
+
+    def points(self, d: int = 1) -> list[tuple[FieldElem, ...]]:
+        """All F_{q^d}-points, in lexicographic element-code order."""
+        codes, big = self.point_codes(d), self.extension(d)
+        return [tuple(FieldElem(big, c) for c in x) for x in codes]
 
     def product(self, other: "ConstructibleSet") -> "ConstructibleSet":
         if other.field is not self.field:
@@ -326,13 +218,18 @@ class MotivicClass:
     # -- specialization ------------------------------------------------------------
 
     def specialize(self, d: int = 1) -> CycScalar:
+        """mu_d: each term's points counted by the trace of h, then one
+        normalization and one power of q."""
         p = self.field.p
-        acc = CycScalar.zero(p)
+        counts = [0] * p
         for coeff, X, h in self.terms:
             big = X.extension(d)
-            for x in X.points(d):
-                acc = acc + psi(h.eval(x, big)) * coeff
-        return acc * Fraction(self.field.q) ** (d * self.lshift)
+            value, tr = h.code_evaluator(big), big.trace_table(1)
+            hist = [0] * p
+            for x in X.point_codes(d):
+                hist[tr[value(x)]] += 1
+            counts = [c + coeff * n for c, n in zip(counts, hist)]
+        return cyc_normalize(p, counts) * Fraction(self.field.q) ** (d * self.lshift)
 
     def to_json(self):
         return {
@@ -390,18 +287,22 @@ class ClosedPoint:
         return f"ClosedPoint(deg={self.degree}, rep={[c.code for c in self.rep]})"
 
 
-def frobenius_point(X: ConstructibleSet, point):
-    q = X.field.q
-    return tuple(x**q for x in point)
+def _code_orbit(frob: list[int], point: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The orbit of a code tuple under one Frobenius code table."""
+    orbit = [point]
+    cur = tuple(frob[c] for c in point)
+    while cur != point:
+        orbit.append(cur)
+        cur = tuple(frob[c] for c in cur)
+    return orbit
 
 
 def frobenius_orbit(X: ConstructibleSet, point):
-    orbit = [tuple(point)]
-    cur = frobenius_point(X, point)
-    while cur != orbit[0]:
-        orbit.append(cur)
-        cur = frobenius_point(X, cur)
-    return orbit
+    if not point:
+        return [()]
+    big = point[0].field
+    orbit = _code_orbit(big.power_table(X.field.q), tuple(x.code for x in point))
+    return [tuple(FieldElem(big, c) for c in member) for member in orbit]
 
 
 def closed_points(X: ConstructibleSet, B: int) -> list[ClosedPoint]:
@@ -411,16 +312,16 @@ def closed_points(X: ConstructibleSet, B: int) -> list[ClosedPoint]:
         raise ValueError("degree bound must be >= 1")
     out = []
     for n in range(1, B + 1):
+        big = X.extension(n)
+        frob = big.power_table(X.field.q)
         seen = set()
-        for pt in X.points(n):
-            key = tuple(c.code for c in pt)
-            if key in seen:
+        for pt in X.point_codes(n):
+            if pt in seen:
                 continue
-            orbit = frobenius_orbit(X, pt)
-            for member in orbit:
-                seen.add(tuple(c.code for c in member))
+            orbit = _code_orbit(frob, pt)
+            seen.update(orbit)
             if len(orbit) == n:
-                rep = min(orbit, key=lambda m: tuple(c.code for c in m))
+                rep = tuple(FieldElem(big, c) for c in min(orbit))
                 out.append(ClosedPoint(X, n, rep))
     return out
 
@@ -454,20 +355,49 @@ class ClassFamily:
         return ClassFamily(field, nvars, ((1, h),))
 
 
+def _norm_counts(pts: list[ClosedPoint], family: ClassFamily) -> list[list[int]]:
+    """Each orbit's norm before its power of q: sum of coeff * psi(h(rep))
+    read through the absolute trace of F_{q^deg}, as integer counts over
+    zeta^0..zeta^(p-1); one evaluator per degree."""
+    out, per_degree = [], {}
+    for P in pts:
+        got = per_degree.get(P.degree)
+        if got is None:
+            big = P.X.extension(P.degree)
+            evals = [(coeff, h.code_evaluator(big)) for coeff, h in family.terms]
+            got = per_degree[P.degree] = (evals, big.trace_table(1))
+        evals, tr = got
+        codes = tuple(x.code for x in P.rep)
+        counts = [0] * P.X.field.p
+        for coeff, value in evals:
+            counts[tr[value(codes)]] += coeff
+        out.append(counts)
+    return out
+
+
+def _times(a: list[int], b: list[int]) -> list[int]:
+    """Product in Z[zeta]/(zeta^p - 1): exponents add mod p."""
+    p = len(a)
+    out = [0] * p
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[(i + j) % p] += x * y
+    return out
+
+
+def _scalar(counts: list[int], q: int, power: int) -> CycScalar:
+    return cyc_normalize(len(counts), counts) * Fraction(q) ** power
+
+
 def orbit_norm_value(P: ClosedPoint, family) -> CycScalar:
     """The specialized norm over the orbit: evaluate the family at the
     representative and read characters through the absolute trace of the
     big field F_{q^n}."""
-    field = P.X.field
-    p = field.p
     if isinstance(family, MPoly):
-        family = ClassFamily(field, P.X.nvars, ((1, family),))
-    acc = CycScalar.zero(p)
-    for coeff, h in family.terms:
-        acc = acc + psi(h.eval(P.rep)) * coeff
-    if family.lshift:
-        acc = acc * Fraction(field.q ** P.degree) ** family.lshift
-    return acc
+        family = ClassFamily(P.X.field, P.X.nvars, ((1, family),))
+    return _scalar(_norm_counts([P], family)[0], P.X.field.q, P.degree * family.lshift)
 
 
 def euler_product(X: ConstructibleSet, family: ClassFamily, B: int):
@@ -475,33 +405,39 @@ def euler_product(X: ConstructibleSet, family: ClassFamily, B: int):
 
     Left: product over closed points v of degree <= B of (1 + a(v) t^deg(v)).
     Right: sum over Frobenius-stable n-element subsets (n <= B), each subset
-    contributing the product of its orbits' norm values.
+    contributing the product of its orbits' norm values.  Both sides are
+    integer counts over zeta^0..zeta^(p-1) per power of t; the norm of an
+    orbit of degree n carries q^(n*lshift), so the t^k coefficient carries
+    q^(k*lshift), applied once at the end.
     """
     if B < 1:
         raise ValueError("precision must be >= 1")
     p = X.field.p
     pts = closed_points(X, B)
-    values = [orbit_norm_value(v, family) for v in pts]
+    values = _norm_counts(pts, family)
+    one = [1] + [0] * (p - 1)
 
-    lhs = [CycScalar.zero(p) for _ in range(B + 1)]
-    lhs[0] = CycScalar.one(p)
+    lhs = [one] + [[0] * p for _ in range(B)]
     for v, a in zip(pts, values):
-        new = list(lhs)
-        for k in range(B + 1 - v.degree):
-            if not lhs[k].is_zero():
-                new[k + v.degree] = new[k + v.degree] + lhs[k] * a
-        lhs = new
+        n = v.degree
+        for k in range(B - n, -1, -1):
+            if any(lhs[k]):
+                lhs[k + n] = [x + y for x, y in zip(lhs[k + n], _times(lhs[k], a))]
 
-    rhs = [CycScalar.zero(p) for _ in range(B + 1)]
-    rhs[0] = CycScalar.one(p)
+    rhs = [one] + [[0] * p for _ in range(B)]
 
     def extend(i, weight, prod):
         if weight:
-            rhs[weight] = rhs[weight] + prod
+            rhs[weight] = [x + y for x, y in zip(rhs[weight], prod)]
         for j in range(i, len(pts)):
             w = weight + pts[j].degree
-            if w <= B:
-                extend(j + 1, w, prod * values[j])
+            if w > B:
+                break  # closed_points lists the orbits by degree
+            extend(j + 1, w, _times(prod, values[j]))
 
-    extend(0, 0, CycScalar.one(p))
-    return lhs, rhs
+    extend(0, 0, one)
+    q, shift = X.field.q, family.lshift
+    return (
+        [_scalar(c, q, k * shift) for k, c in enumerate(lhs)],
+        [_scalar(c, q, k * shift) for k, c in enumerate(rhs)],
+    )

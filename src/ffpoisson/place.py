@@ -369,24 +369,12 @@ class PlaceData:
     @property
     def trace_to_base_codes(self) -> list[int]:
         """trace k_u -> F_q as a code table."""
-        if not hasattr(self, "_tr_q"):
-            from .scalars import trace
-
-            self._tr_q = [
-                trace(self.ku.from_code(c), self.base.e).code for c in range(self.ku.q)
-            ]
-        return self._tr_q
+        return self.ku.trace_table(self.base.e)
 
     @property
     def psi_exponents(self) -> list[int]:
         """lift of the absolute trace k_u -> F_p as a code table."""
-        if not hasattr(self, "_psi_exp"):
-            from .scalars import trace
-
-            self._psi_exp = [
-                trace(self.ku.from_code(c), 1).code for c in range(self.ku.q)
-            ]
-        return self._psi_exp
+        return self.ku.trace_table(1)
 
     def __repr__(self):
         return f"PlaceData({self.label})"

@@ -1,8 +1,10 @@
-"""Univariate polynomials and reduced rational functions over a finite field.
+"""Polynomials and reduced rational functions over a finite field.
 
 Coefficients are stored as low-degree-first tuples of element codes of the
 base field descriptor.  The zero polynomial has an empty coefficient tuple
-and degree -1.  Everything is exact and immutable.
+and degree -1.  Multivariate polynomials (MPoly) map exponent tuples to
+coefficient codes and evaluate on the codes of points in any extension.
+Everything is exact and immutable.
 """
 
 from __future__ import annotations
@@ -385,3 +387,140 @@ class RationalFn:
         if d.is_zero():
             raise ZeroDivisionError("pole at evaluation point")
         return self.num.eval(x) / d
+
+
+# ---------------------------------------------------------------------------
+# Multivariate polynomials (sparse, exact)
+# ---------------------------------------------------------------------------
+
+
+class MPoly:
+    """Polynomial over F_q in nvars variables; terms map exponent tuples to
+    nonzero coefficient codes."""
+
+    __slots__ = ("field", "nvars", "terms")
+
+    def __init__(self, field: FieldDescriptor, nvars: int, terms: dict):
+        clean = {}
+        for exps, code in terms.items():
+            exps = tuple(exps)
+            if len(exps) != nvars:
+                raise ValueError("exponent tuple of the wrong length")
+            if code:
+                clean[exps] = code
+        self.field = field
+        self.nvars = nvars
+        self.terms = clean
+
+    @staticmethod
+    def zero(field, nvars):
+        return MPoly(field, nvars, {})
+
+    @staticmethod
+    def constant(field, nvars, value):
+        c = field.elem(value)
+        return MPoly(field, nvars, {(0,) * nvars: c.code})
+
+    @staticmethod
+    def var(field, nvars, i, power: int = 1):
+        exps = [0] * nvars
+        exps[i] = power
+        return MPoly(field, nvars, {tuple(exps): 1})
+
+    def is_zero(self):
+        return not self.terms
+
+    def __add__(self, other: "MPoly") -> "MPoly":
+        f = self.field
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = f.add_code(out.get(e, 0), c)
+        return MPoly(f, self.nvars, out)
+
+    def __neg__(self):
+        f = self.field
+        return MPoly(f, self.nvars, {e: f.neg_code(c) for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other: "MPoly") -> "MPoly":
+        f = self.field
+        out: dict = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                out[e] = f.add_code(out.get(e, 0), f.mul_code(c1, c2))
+        return MPoly(f, self.nvars, out)
+
+    def shifted(self, offset: int, total: int) -> "MPoly":
+        """The same polynomial viewed in `total` variables, its own variables
+        placed starting at `offset`."""
+        out = {}
+        for e, c in self.terms.items():
+            new = [0] * total
+            for i, k in enumerate(e):
+                new[offset + i] = k
+            out[tuple(new)] = c
+        return MPoly(self.field, total, out)
+
+    def code_evaluator(self, big: FieldDescriptor):
+        """A function from a point's codes in `big`, an extension of the base
+        field, to the code of the value there: each monomial in the log
+        domain, the monomials summed by big.log_sum."""
+        big._ensure_log(force=True)
+        log, m = big._log, big.q - 1
+        embed = big._embedding_table(self.field)
+        monos = [
+            (log[embed[c]], tuple((i, k) for i, k in enumerate(exps) if k))
+            for exps, c in self.terms.items()
+        ]
+        log_sum = big.log_sum
+
+        def value(x) -> int:
+            logs = []
+            for lc, powers in monos:
+                for i, k in powers:
+                    c = x[i]
+                    if not c:
+                        break
+                    lc += k * log[c]
+                else:
+                    logs.append(lc % m)
+            return log_sum(logs)
+
+        return value
+
+    def eval(self, point, big: FieldDescriptor | None = None) -> FieldElem:
+        big = point[0].field if point else (big or self.field)
+        return FieldElem(big, self.code_evaluator(big)(tuple(x.code for x in point)))
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, MPoly)
+            and other.field is self.field
+            and other.nvars == self.nvars
+            and other.terms == self.terms
+        )
+
+    def __hash__(self):
+        return hash((id(self.field), self.nvars, tuple(sorted(self.terms.items()))))
+
+    def to_json(self):
+        return [[list(e), c] for e, c in sorted(self.terms.items())]
+
+    @staticmethod
+    def from_json(field, nvars, data):
+        return MPoly(field, nvars, {tuple(e): c for e, c in data})
+
+    def __repr__(self):
+        if not self.terms:
+            return "0"
+        parts = []
+        for e, c in sorted(self.terms.items()):
+            mono = "*".join(
+                f"x{i}" + (f"^{k}" if k > 1 else "") for i, k in enumerate(e) if k
+            )
+            cs = str(c) if (c != 1 or not mono) else ""
+            parts.append(cs + ("*" if cs and mono else "") + mono)
+        return "+".join(parts)

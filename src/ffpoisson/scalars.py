@@ -32,42 +32,49 @@ def is_prime(n: int) -> bool:
 # Field descriptors
 # ---------------------------------------------------------------------------
 
-# Arithmetic tables, all built lazily on first use.  Every field up to
-# _LOG_LIMIT elements gets a log/antilog pair for one primitive element and a
-# negation table; fields up to _TABLE_LIMIT also get dense add/mul/inv tables
-# derived from the pair.  Larger fields compute with polynomials per op.
+# Arithmetic tables, all built lazily.  A field's first operation builds a
+# log/antilog pair for one primitive element, the negation table and, for odd
+# p, the Zech table, if the field has at most _LOG_LIMIT elements; the motivic
+# layer, which enumerates the field anyway, builds them whatever its size.
+# Dense add/mul/inv tables (at most _TABLE_LIMIT elements) are built only when
+# scalar add/mul/inv ask for them.  Fields without a pair compute with
+# polynomials per op.
 _TABLE_LIMIT = 256
 _LOG_LIMIT = 4096
 
 
-def _prime_factors(n: int) -> list[int]:
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
+def _translation_table(p: int, e: int, w: int) -> list[int]:
+    """[c + w for every code c < p^e], the sum taken digitwise mod p.
+
+    Built one digit at a time: the codes with digit i equal to x follow the
+    codes below p^i, shifted by (x + w_i) mod p in digit i.
+    """
+    out, scale = [0], 1
+    for _ in range(e):
+        w, d = divmod(w, p)
+        out = [(x + d) % p * scale + o for x in range(p) for o in out]
+        scale *= p
     return out
 
 
-def _digit_add_rows(p: int, e: int) -> list[list[int]]:
-    """rows[a][b]: the code of the digitwise sum mod p of codes a, b < p^e.
+def _linear_table(p: int, images: Sequence[int], e_out: int) -> list[int]:
+    """[f(c) for every code c < p^len(images)] for the F_p-linear f with
+    f(X^i) = images[i], the images codes of an F_p-space of dimension e_out.
 
-    Built one digit at a time: a code is low + p * high, and the sum of two
-    codes is the sum of their low digits plus p times the sum of their highs.
+    The codes with digit i equal to x are the codes below p^i, each moved by
+    x * images[i]: one translation table per digit, applied x times.
     """
-    base = [[(x + y) % p for y in range(p)] for x in range(p)]
-    rows = base
-    for _ in range(e - 1):
-        rows = [
-            [lo + p * hi for hi in high_row for lo in base[a_lo]]
-            for high_row in rows
-            for a_lo in range(p)
-        ]
-    return rows
+    out = [0]
+    for w in images:
+        if p == 2:
+            out = out + [c ^ w for c in out]
+            continue
+        shift = _translation_table(p, e_out, w)
+        parts = [out]
+        for _ in range(p - 1):
+            parts.append([shift[c] for c in parts[-1]])
+        out = [c for part in parts for c in part]
+    return out
 
 
 class FieldDescriptor:
@@ -85,13 +92,17 @@ class FieldDescriptor:
         self.modulus = modulus
         # exp[k] = g^k for the smallest-code primitive element g, stored for
         # 0 <= k < 2(q-1) so that a sum of two logs indexes it directly;
-        # log[a] is the exponent of a != 0 (log[0] is unused).
+        # log[a] is the exponent of a != 0 (log[0] is unused); for odd p,
+        # zech[k] = log(1 + g^k), None where 1 + g^k = 0.
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
         self._neg_table: list[int] | None = None
+        self._zech: list[int | None] | None = None
         self._add_table: list[int] | None = None
         self._mul_table: list[int] | None = None
         self._inv_table: list[int] | None = None
+        self._traces: dict[int, list[int]] = {}
+        self._powers: dict[int, list[int]] = {}
         self._embeddings: dict[tuple[int, int], list[int]] = {}
         self._sections: dict[tuple[int, int], dict[int, int]] = {}
 
@@ -141,54 +152,86 @@ class FieldDescriptor:
             n >>= 1
         return r
 
-    def _primitive_element(self) -> int:
-        """The smallest nonzero code whose powers exhaust the unit group."""
-        order = self.q - 1
-        cofactors = [order // r for r in _prime_factors(order)]
-        for g in range(1, self.q):
-            if all(self._poly_pow(g, c) != 1 for c in cofactors):
-                return g
-        raise RuntimeError("no primitive element; modulus not irreducible")
+    def _digit_sum(self, a: int, b: int) -> int:
+        p = self.p
+        return self.code_of([(x + y) % p for x, y in zip(self.coeffs_of(a), self.coeffs_of(b))])
 
-    def _ensure_tables(self) -> None:
-        if self._exp is not None or self.q > _LOG_LIMIT:
+    def _ensure_log(self, force: bool = False) -> None:
+        """The log pair, the negation table and, for odd p, the Zech table,
+        in O(q): for fields of at most _LOG_LIMIT elements, or any field when
+        forced."""
+        if self._exp is not None or (self.q > _LOG_LIMIT and not force):
             return
-        q, p = self.q, self.p
-        g = self._primitive_element()
-        exp = [1] * (q - 1)
-        for k in range(1, q - 1):
-            exp[k] = self._poly_mul_mod(exp[k - 1], g)
+        q, p, e = self.q, self.p, self.e
+        # g is the smallest code whose powers exhaust the unit group; past
+        # e = 1 the constants, of order dividing p - 1, cannot, nor can the
+        # powers of a candidate that failed.  Multiplication by a candidate
+        # is F_p-linear: one table from the images g X^i, then a walk from 1.
+        failed = bytearray(q)
+        for g in range(p if e > 1 else 1, q):
+            if failed[g]:
+                continue
+            times_g = _linear_table(p, [self._poly_mul_mod(g, p**i) for i in range(e)], e)
+            exp, x = [1], times_g[1]
+            while x != 1 and len(exp) < q:
+                exp.append(x)
+                x = times_g[x]
+            if len(exp) == q - 1:
+                break
+            for x in exp:
+                failed[x] = 1
+        else:
+            raise RuntimeError("no primitive element; modulus not irreducible")
         log = [0] * q
         for k, a in enumerate(exp):
             log[a] = k
         neg = [0]
-        for _ in range(self.e):
+        for _ in range(e):
             neg = [(-lo) % p + p * hi for hi in neg for lo in range(p)]
-        self._exp, self._log, self._neg_table = exp + exp, log, neg
+        if p > 2:
+            # 1 + a only increments digit 0; a = p - 1 is -1
+            self._zech = [
+                None if a == p - 1 else log[a + 1 - p if a % p == p - 1 else a + 1]
+                for a in exp
+            ]
+        self._log, self._neg_table, self._exp = log, neg, exp + exp
+
+    def _ensure_tables(self) -> None:
+        """The scalar path's tables: the log pair, and dense add/mul/inv
+        tables, derived from it, for fields of at most _TABLE_LIMIT elements."""
+        if self._mul_table is not None:
+            return
+        self._ensure_log()
+        q = self.q
         if q > _TABLE_LIMIT:
             return
+        exp, log = self._exp, self._log
         # the row of a != 0 is exp shifted by log a, read at log b
         mul, logs = [0] * q, log[1:]
         for a in range(1, q):
-            shifted = self._exp[log[a] : log[a] + q - 1]
+            shifted = exp[log[a] : log[a] + q - 1]
             mul.append(0)
             mul.extend([shifted[lb] for lb in logs])
+        self._inv_table = [0] + [exp[q - 1 - log[a]] for a in range(1, q)]
+        self._add_table = [s for a in range(q) for s in _translation_table(self.p, self.e, a)]
         self._mul_table = mul
-        self._inv_table = [0] + [self._exp[q - 1 - log[a]] for a in range(1, q)]
-        self._add_table = [s for row in _digit_add_rows(p, self.e) for s in row]
 
     def add_code(self, a: int, b: int) -> int:
         self._ensure_tables()
         if self._add_table is not None:
             return self._add_table[a * self.q + b]
-        p = self.p
-        if p == 2:
+        if self.p == 2:
             return a ^ b
-        ca, cb = self.coeffs_of(a), self.coeffs_of(b)
-        return self.code_of([(x + y) % p for x, y in zip(ca, cb)])
+        if self._zech is None:
+            return self._digit_sum(a, b)
+        if not a or not b:
+            return a or b
+        la = self._log[a]
+        z = self._zech[(self._log[b] - la) % (self.q - 1)]
+        return 0 if z is None else self._exp[la + z]
 
     def neg_code(self, a: int) -> int:
-        self._ensure_tables()
+        self._ensure_log()
         if self._neg_table is not None:
             return self._neg_table[a]
         p = self.p
@@ -211,7 +254,7 @@ class FieldDescriptor:
             if n < 0:
                 raise ZeroDivisionError("inverse of zero field element")
             return 0 if n else 1
-        self._ensure_tables()
+        self._ensure_log()
         if self._log is not None:
             return self._exp[n * self._log[a] % (self.q - 1)]
         if n < 0:
@@ -225,6 +268,58 @@ class FieldDescriptor:
         if self._inv_table is not None:
             return self._inv_table[a]
         return self.pow_code(a, self.q - 2)
+
+    def log_sum(self, logs: Iterable[int]) -> int:
+        """The code of the sum of g^l over logs l < 2(q-1): XOR of the powers
+        at p = 2, else folded through the Zech table.  Needs the log pair."""
+        exp = self._exp
+        if self.p == 2:
+            acc = 0
+            for k in logs:
+                acc ^= exp[k]
+            return acc
+        zech, m = self._zech, self.q - 1
+        acc = None  # the log of the sum so far, None while it is zero
+        for k in logs:
+            if acc is None:
+                acc = k
+            else:
+                z = zech[(k - acc) % m]
+                acc = None if z is None else (acc + z) % m
+        return 0 if acc is None else exp[acc]
+
+    # -- tables over all codes ------------------------------------------------
+
+    def trace_table(self, d: int = 1) -> list[int]:
+        """The trace down to F_{p^d}, sum of x^(p^(d*i)) for i < e/d, as the
+        F_{p^d}-codes of every code: built by F_p-linearity from the traces
+        of the basis monomials X^i, once per d."""
+        table = self._traces.get(d)
+        if table is not None:
+            return table
+        if d < 1 or self.e % d:
+            raise ValueError(f"{d} does not divide extension degree {self.e}")
+        sub = make_field(self.p, d)
+        images = []
+        for i in range(self.e):
+            y = acc = self.p**i
+            for _ in range(self.e // d - 1):
+                y = self.pow_code(y, sub.q)
+                acc = self._digit_sum(acc, y)
+            # F_p is the constant codes; a larger subfield goes through its section
+            images.append(acc if d == 1 else self.section(FieldElem(self, acc), sub).code)
+        table = self._traces[d] = _linear_table(self.p, images, d)
+        return table
+
+    def power_table(self, n: int) -> list[int]:
+        """x^n for every code, from the log pair (built whatever q is)."""
+        table = self._powers.get(n)
+        if table is None:
+            self._ensure_log(force=True)
+            exp, log, m = self._exp, self._log, self.q - 1
+            table = [0 if n else 1] + [exp[log[a] * n % m] for a in range(1, self.q)]
+            self._powers[n] = table
+        return table
 
     # -- elements -----------------------------------------------------------
 
@@ -272,6 +367,11 @@ class FieldDescriptor:
         if sub.e == self.e and sub.modulus == self.modulus:
             table = list(range(self.q))
             self._embeddings[key] = table
+            return table
+        if sub.e == 1:  # F_p is the constant codes
+            table = list(range(sub.q))
+            self._embeddings[key] = table
+            self._sections[key] = {code: code for code in table}
             return table
         root = None
         for c in range(self.q):
@@ -444,17 +544,8 @@ def make_field(p: int, e: int = 1) -> FieldDescriptor:
 
 def trace(x: FieldElem, d: int = 1) -> FieldElem:
     """Trace from F_{p^e} down to F_{p^d}: sum of x^(p^(d*i)), i < e/d."""
-    field = x.field
-    if field.e % d != 0:
-        raise ValueError(f"{d} does not divide extension degree {field.e}")
-    sub = make_field(field.p, d)
-    step = field.p**d
-    acc = x
-    y = x
-    for _ in range(field.e // d - 1):
-        y = y**step
-        acc = acc + y
-    return field.section(acc, sub)
+    table = x.field.trace_table(d)
+    return FieldElem(make_field(x.field.p, d), table[x.code])
 
 
 # ---------------------------------------------------------------------------
@@ -595,5 +686,4 @@ def cyc_normalize(p: int, raw: Iterable) -> CycScalar:
 
 def psi(x: FieldElem) -> CycScalar:
     """The fixed additive character: zeta_p raised to the absolute trace."""
-    t = trace(x, 1)
-    return CycScalar.zeta_power(x.field.p, t.code)
+    return CycScalar.zeta_power(x.field.p, x.field.trace_table(1)[x.code])

@@ -319,3 +319,26 @@ def test_cli_imports_only_what_a_subcommand_runs(tmp_path):
         env=env, capture_output=True, text=True, check=True,
     ).stdout
     assert out.splitlines() == ["", ""]
+
+
+POISSON_PROBE = """
+import sys
+from ffpoisson import cli
+
+assert cli.main(["poisson", "--p", "2", "--places", "t;inf", "--window", "1,1",
+                 "--out", sys.argv[1]]) == 0
+print("ffpoisson.motivic" in sys.modules)
+"""
+
+
+def test_poisson_does_not_load_motivic(tmp_path):
+    # the place parser reads polynomials through poly.MPoly, not motivic
+    import ffpoisson
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ffpoisson.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", POISSON_PROBE, str(tmp_path / "report.json")],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.splitlines() == ["False"]

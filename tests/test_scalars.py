@@ -7,6 +7,7 @@ from ffpoisson.scalars import (
     _LOG_LIMIT,
     _TABLE_LIMIT,
     CycScalar,
+    FieldDescriptor,
     cyc_normalize,
     make_field,
     psi,
@@ -278,3 +279,57 @@ def test_cyc_scalar_zero_and_rational_predicates():
     assert not CycScalar.rational(5, Fraction(-2, 3)).is_zero()
     z = CycScalar.zeta_power(5, 2)
     assert not z.is_zero() and not z.is_rational()
+
+
+# -- the log-domain tables: Zech addition and the trace table ---------------------------
+
+
+@pytest.mark.parametrize("p,e", [(5, 4), (3, 6)])
+def test_zech_addition_matches_digitwise_sum(p, e):
+    F = make_field(p, e)
+    q = F.q
+    assert _TABLE_LIMIT < q <= _LOG_LIMIT
+    rng = random.Random(20000 + q)
+    pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(20000)]
+    pairs += [(a, _digit_neg(F, a)) for a in range(q)]  # 1 + g^k = 0 in the Zech table
+    for a, b in pairs:
+        assert F.add_code(a, b) == _digit_sum(F, a, b)
+    assert F._add_table is None and F._zech[(q - 1) // 2] is None
+
+
+def _trace_by_powers(F, x, d):
+    """sum of x^(p^(d i)) for i < e/d, as a code of F."""
+    acc, y = x, x
+    for _ in range(F.e // d - 1):
+        y = F.pow_code(y, F.p**d)
+        acc = F.add_code(acc, y)
+    return acc
+
+
+@pytest.mark.parametrize(
+    "p,e,ds",
+    [(2, 2, [1]), (3, 2, [1]), (3, 3, [1]), (17, 2, [1]), (2, 13, [1]),
+     (2, 6, [1, 2, 3]), (3, 4, [1, 2]), (3, 6, [2, 3])],
+)
+def test_trace_table_is_the_sum_of_frobenius_powers(p, e, ds):
+    # a private copy of F_8192, so that forcing its log pair leaves the
+    # cached descriptor on the polynomial path
+    F = FieldDescriptor(p, e, make_field(p, e).modulus) if p**e > _LOG_LIMIT else make_field(p, e)
+    F._ensure_log(force=True)
+    for a, b in _sample_pairs(F, 200, 1):
+        assert F.mul_code(a, b) == F._poly_mul_mod(a, b)
+    for d in ds + [e]:
+        sub = make_field(p, d)
+        table = F.trace_table(d)
+        assert len(table) == F.q
+        for x in range(F.q):
+            got = F.from_code(_trace_by_powers(F, x, d))
+            assert table[x] == F.section(got, sub).code
+    assert [trace(x, 1).code for x in F.elements()] == F.trace_table(1)
+
+
+def test_trace_table_needs_no_dense_tables():
+    F = FieldDescriptor(2, 8, make_field(2, 8).modulus)
+    F.trace_table(1)
+    F.power_table(2)
+    assert F._log is not None and F._mul_table is None
