@@ -1026,7 +1026,7 @@ def fourier_D(phi: AlgebraTestFunction) -> AlgebraTestFunction:
     D = Q**K
     vol = Fraction(base.q) ** (-(desc.nu_D // 2) - phi.hi * desc.n)
     arr = _int64_or_object(phi._arr, D * 4 * vol.numerator)
-    g = _contract_levels(arr, desc.L_place_data(), K, 1, 1).reshape(D, p)
+    g = _contract_levels(arr, desc.L_place_data(), K).reshape(D, p)
 
     # output jet x -> u digits: u at input level j is g^(j mod n) of x's
     # digit at level -n-j

@@ -29,9 +29,9 @@ from .localfield import (
     _field_code_tables,
     _generic_axis_transform,
     _int64_or_object,
-    _rep_axis_transform,
     _Table,
     _table_of,
+    _transform_table,
     index_to_jet,
     jet_space_size,
     jet_to_index,
@@ -485,16 +485,6 @@ def extend_place(phi: GlobalTestFunction, u: Place, new_N: int) -> GlobalTestFun
     look = np.arange(jet_space_size(pd, new_win))
     look[look >= jet_space_size(pd, w)] = -1
     return _reindex_places(phi, {i: (new_win, look)})
-
-
-def _transform_table(arr, den: int, axes):
-    """The placewise transform of the integer table arr / den on the given
-    (place data, window) axes: (arr, den) on the dual windows."""
-    sizes = [jet_space_size(pd, w) for pd, w in axes]
-    for axis, (pd, w) in enumerate(axes):
-        pre, post = _prod(sizes[:axis]), _prod(sizes[axis + 1 :])
-        arr, den = _rep_axis_transform(arr, den, pd, w, pre, post)
-    return arr, den
 
 
 def global_fourier(phi: GlobalTestFunction) -> GlobalTestFunction:

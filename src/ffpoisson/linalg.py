@@ -8,20 +8,6 @@ is all we need.  Callers pass explicit zero/one values of the entry type.
 from __future__ import annotations
 
 
-def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = a[i][0] * b[0][j]
-            for l in range(1, k):
-                acc = acc + a[i][l] * b[l][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
 def solve(matrix, rhs):
     """Solve M x = rhs for square exact M; raises on singular systems."""
     n = len(matrix)

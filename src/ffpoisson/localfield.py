@@ -13,10 +13,11 @@ theory hold exactly.  An exact table is stored once, as integer rows over
 the zeta_p-power basis zeta^0..zeta^(p-1) with one common denominator:
 numpy int64 while every entry is below the overflow guard, object arrays
 of Python ints past it.  Transforms, reindexing and sums work on that
-array, one jet axis at a time by one matmul per level and a gather;
-CycScalar values are built only when they are read.  Symbolic tables keep
-their MotivicClass values in one object column and take a direct double
-sum.
+array, one jet axis at a time: per level one reshape, transpose and
+matmul that carries the level from the front of the table to its end,
+then a gather; CycScalar values are built only when they are read.
+Symbolic tables keep their MotivicClass values in one object column and
+take a direct double sum.
 """
 
 from __future__ import annotations
@@ -50,9 +51,6 @@ class Window:
 
     def dual(self, nu: int) -> "Window":
         return Window(self.M - nu, self.N + nu)
-
-    def dominates(self, other: "Window") -> bool:
-        return self.N >= other.N and self.M >= other.M
 
 
 class JetVector:
@@ -290,16 +288,9 @@ def ops_for(pd: PlaceData, mode: str):
 
 
 def _field_code_tables(field):
-    """mul and add of a field as (q, q) int64 code tables: the dense tables,
-    or, past them, gathers from the log pair and the Zech table (XOR at
-    p = 2)."""
+    """mul and add of a field as (q, q) int64 code tables, gathered from the
+    log pair and the Zech table (XOR at p = 2)."""
     q = field.q
-    field._ensure_tables()
-    if field._mul_table is not None:
-        return tuple(
-            np.array(t, dtype=np.int64).reshape(q, q)
-            for t in (field._mul_table, field._add_table)
-        )
     field._ensure_log(force=True)
     exp = np.array(field._exp, dtype=np.int64)
     log = np.array(field._log, dtype=np.int64)
@@ -336,9 +327,9 @@ def _kernel_matmul(pd: PlaceData, dtype) -> np.ndarray:
     if kernels is None:
         Q, p = pd.ku.q, pd.base.p
         E = np.array(pd.psi_exponents, dtype=np.int64)[_code_tables(pd)[0]]
-        a, i, b = np.ix_(range(Q), range(p), range(Q))
-        ker = np.zeros((Q, p, Q, p), dtype=np.int64)
-        ker[a, i, b, (i + E[b, a]) % p] = 1
+        # ker[a, i, b, o] = (i + E[b, a]) % p == o, in one broadcast
+        i = np.arange(p)[:, None, None]
+        ker = ((i + E.T[:, None, :, None]) % p == np.arange(p)).astype(np.int64)
         kernels = pd._kernel_matmul = {ker.dtype: ker.reshape(Q * p, Q * p)}
     got = kernels.get(dtype)
     if got is None:
@@ -448,21 +439,20 @@ class _Table:
         return self._arr[idx, 0]
 
 
-def _contract_levels(arr, pd: PlaceData, K: int, pre: int, post: int):
-    """The character transform over k_u on each of K level axes: arr, rows
-    over the zeta-power basis, viewed as (pre, Q, .., Q, post, p), becomes
-    G[.., b, ..] = sum_a arr[.., a, ..] psi(Tr(z_b z_a)) per level, shaped
-    (pre, Q**K, post, p).  The dtype of arr is kept, so the caller decides
-    whether int64 sums fit: each level multiplies max|entry| by Q."""
+def _contract_levels(arr, pd: PlaceData, K: int):
+    """The character transform over k_u on the K level axes that lead arr,
+    rows over the zeta-power basis viewed as (Q**K, rest, p): G[.., b] =
+    sum_a arr[a, ..] psi(Tr(z_b z_a)) per level, shaped (rest, Q**K, p).
+    Each level is one rotation: its axis leaves the front and its
+    transform lands last, so after K levels the jet axis sits last, in
+    order.  The dtype of arr is kept, so the caller decides whether int64
+    sums fit: each level multiplies max|entry| by Q."""
     p, Q = pd.base.p, pd.ku.q
-    ker2 = _kernel_matmul(pd, arr.dtype)
-    work = arr.reshape(pre, *([Q] * K), post, p)
-    for axis in range(1, K + 1):
-        work = np.moveaxis(work, axis, len(work.shape) - 2)
-        shape = work.shape
-        flat = work.reshape(-1, Q * p) @ ker2
-        work = np.moveaxis(flat.reshape(shape), len(shape) - 2, axis)
-    return work.reshape(pre, Q**K, post, p)
+    ker = _kernel_matmul(pd, arr.dtype)
+    work = arr.reshape(Q**K, -1, p)
+    for _ in range(K):
+        work = work.reshape(Q, -1, p).transpose(1, 0, 2).reshape(-1, Q * p) @ ker
+    return work.reshape(-1, Q**K, p)
 
 
 def _dual_gather_index(pd: PlaceData, win: Window) -> np.ndarray:
@@ -491,20 +481,29 @@ def _dual_gather_index(pd: PlaceData, win: Window) -> np.ndarray:
     return g_idx
 
 
-def _rep_axis_transform(arr, den: int, pd: PlaceData, win: Window, pre: int, post: int):
-    """One jet-space axis of the integer table arr / den, viewed as (pre,
-    jets, post) rows; returns the transformed (arr, den) on the dual
-    window.  The table runs in int64 while the sums provably fit and in
-    Python ints otherwise, through the same contraction."""
+def _rep_axis_transform(arr, den: int, pd: PlaceData, win: Window):
+    """The leading jet-space axis of the integer table arr / den, transformed
+    onto the dual window and moved last: (arr, den) with the other axes in
+    their order in front.  The table runs in int64 while the sums provably
+    fit and in Python ints otherwise, through the same contraction."""
     p = pd.base.p
     K = win.levels
     scale = Fraction(pd.base.q) ** (pd.d * (pd.nu // 2 - win.M))
     arr = _int64_or_object(arr, pd.ku.q**K * 4 * scale.numerator)
-    g = _contract_levels(arr, pd, K, pre, post)
-    out = g[:, _dual_gather_index(pd, win), :, :]
+    out = _contract_levels(arr, pd, K)[:, _dual_gather_index(pd, win)]
     if scale.numerator != 1:
         out = out * scale.numerator
-    return np.ascontiguousarray(out.reshape(-1, p)), den * scale.denominator
+    return out.reshape(-1, p), den * scale.denominator
+
+
+def _transform_table(arr, den: int, axes):
+    """The placewise transform of the integer table arr / den on the given
+    (place data, window) axes, in order: (arr, den) on the dual windows.
+    Each axis leaves the front and lands last, so once every axis has gone
+    through, the axes are back in their order."""
+    for pd, win in axes:
+        arr, den = _rep_axis_transform(arr, den, pd, win)
+    return arr, den
 
 
 def _generic_axis_transform(values, ops, pd: PlaceData, win: Window, pre: int, post: int):
@@ -768,9 +767,7 @@ def fourier_multi(phi: LocalTestFunction) -> LocalTestFunction:
     D = jet_space_size(pd, win)
     dual = win.dual(pd.nu)
     if phi.mode == "exact":
-        arr, den = phi._arr, phi._den
-        for axis in range(phi.arity):
-            arr, den = _rep_axis_transform(arr, den, pd, win, D**axis, D ** (phi.arity - axis - 1))
+        arr, den = _transform_table(phi._arr, phi._den, [(pd, win)] * phi.arity)
         return LocalTestFunction._from_table(pd, dual, phi.arity, arr, den)
     ops = ops_for(pd, phi.mode)
     values = phi.values

@@ -42,12 +42,6 @@ class Poly:
     def constant(field: FieldDescriptor, value) -> "Poly":
         return Poly(field, (field.elem(value).code,))
 
-    @staticmethod
-    def from_elems(elems: Sequence[FieldElem]) -> "Poly":
-        if not elems:
-            raise ValueError("cannot infer the field of an empty polynomial")
-        return Poly(elems[0].field, [e.code for e in elems])
-
     # -- basics ---------------------------------------------------------------
 
     @property
@@ -67,10 +61,6 @@ class Poly:
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
-
-    def elem_coeff(self, i: int) -> FieldElem:
-        code = self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-        return self.field.from_code(code)
 
     def __eq__(self, other):
         return (
@@ -281,9 +271,11 @@ class RationalFn:
             den = Poly.one(field)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        g = num.gcd(den)
-        if not g.is_zero() and g.degree > 0:
-            num, den = num // g, den // g
+        if den.degree > 0:
+            # a constant denominator is a unit: its gcd with num is 1
+            g = num.gcd(den)
+            if g.degree > 0:
+                num, den = num // g, den // g
         if not den.is_monic():
             lead_inv = field.inv_code(den.leading())
             num, den = num.scale(lead_inv), den.scale(lead_inv)

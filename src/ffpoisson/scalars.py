@@ -635,11 +635,6 @@ class CycScalar:
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])
 
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("scalar is not rational")
-        return self.coeffs[0]
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = CycScalar.rational(self.p, other)

@@ -290,6 +290,14 @@ def test_splitting_matrix_s_determinant():
     assert det == RationalFn.t(D3.L)
 
 
+def _mat_mul(a, b):
+    """The schoolbook matrix product over any ring of exact values."""
+    return [
+        [sum((x * y for x, y in zip(row[1:], col[1:])), row[0] * col[0]) for col in zip(*b)]
+        for row in a
+    ]
+
+
 def test_splitting_matrix_is_homomorphism():
     rng = random.Random(7)
 
@@ -305,7 +313,7 @@ def test_splitting_matrix_is_homomorphism():
     for _ in range(10):
         x, y = rand_elem(), rand_elem()
         lhs = splitting_matrix(alg_mul(x, y))
-        rhs = linalg.mat_mul(splitting_matrix(x), splitting_matrix(y))
+        rhs = _mat_mul(splitting_matrix(x), splitting_matrix(y))
         assert lhs == rhs
 
 
@@ -663,6 +671,29 @@ def test_splitting_matrix_injective_on_nonzero():
 F3 = make_field(3)
 D3p3 = AlgebraDescriptor(F3, 3, 1)
 D3p3dot = AlgebraDescriptor(F3, 3, 2)
+
+
+@pytest.mark.parametrize(
+    "desc,lo,hi",
+    [(D3, 0, 3), (D3dot, 1, 3), (D3p3, 0, 2), (D3p3dot, 0, 1)],
+    ids=["p2-g1", "p2-g2", "p3-g1", "p3-g2"],
+)
+def test_fourier_D_matches_value_at_p2_and_p3(desc, lo, hi):
+    # cyclotomic, non-integral entries, read back at sampled dual jets
+    p = desc.base.p
+    D = desc.L.q ** (hi - lo)
+    rng = random.Random(D + p)
+
+    def coeff():
+        return Fraction(rng.randrange(-5, 6), rng.choice((1, 2, 3)))
+
+    vals = [CycScalar(p, [coeff() for _ in range(p - 1)]) for _ in range(D)]
+    phi = AlgebraTestFunction(desc, lo, hi, vals)
+    full = fourier_D(phi)
+    assert (full.lo, full.hi) == dual_jet_window(desc, lo, hi)
+    for k in sorted({0, 1, D - 1} | {rng.randrange(D) for _ in range(30)}):
+        jet = jet_from_index(desc, full.lo, full.hi, k)
+        assert fourier_D_value(phi, jet) == full.values[k], k
 
 
 @pytest.mark.parametrize(

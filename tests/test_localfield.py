@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 import pytest
@@ -10,6 +11,9 @@ from ffpoisson.localfield import (
     LocalTestFunction,
     Window,
     _generic_axis_transform,
+    _int_to_values,
+    _table_of,
+    _transform_table,
     alpha_decode,
     alpha_encode,
     extend_zero,
@@ -56,39 +60,43 @@ def residue_pair(x: JetVector, y: JetVector) -> FieldElem:
     return pd.base.from_code(pd.trace_to_base_codes[acc])
 
 
-def fourier_direct(phi: LocalTestFunction) -> LocalTestFunction:
-    """Brute-force multi-coordinate transform straight from the definition:
-    the cross-check oracle for fourier_multi."""
-    ops = ops_for(phi.pd, phi.mode)
-    pd, win, m = phi.pd, phi.window, phi.arity
-    if win.M < pd.nu:
-        raise ValueError("window too shallow for nu; refine first")
-    dual = win.dual(pd.nu)
-    D = jet_space_size(pd, win)
-    psi_vals = [ops.psi_base(c) for c in range(pd.base.q)]
-    add_q = pd.base.add_code
+def _direct_table_transform(values, axes):
+    """sum_y phi(y) prod_k psi(r_k(x_k y_k)) q^(d_k (nu_k/2 - M_k)) at every
+    x on the dual windows, straight from the definition: the oracle for a
+    table over several (place data, window) axes, the first most
+    significant."""
+    base = axes[0][0].base
+    ops = ops_for(axes[0][0], "exact")
+    psi_vals = [ops.psi_base(c) for c in range(base.q)]
+    sizes = [jet_space_size(pd, w) for pd, w in axes]
 
-    def jets_of(idx, window):
-        parts, k = [], idx
-        for _ in range(m):
-            parts.append(k % D)
-            k //= D
-        parts.reverse()
-        return [index_to_jet(pd, window, j) for j in parts]
+    def jets_of(idx, dual):
+        out = []
+        for (pd, w), D in zip(reversed(axes), reversed(sizes)):
+            out.append(index_to_jet(pd, w.dual(pd.nu) if dual else w, idx % D))
+            idx //= D
+        return out[::-1]
 
-    shift = pd.d * (pd.nu // 2 - win.M) * m
+    ys = [jets_of(idx, False) for idx in range(len(values))]
+    shift = sum(pd.d * (pd.nu // 2 - w.M) for pd, w in axes)
     out = []
-    for xidx in range(D**m):
-        xjets = jets_of(xidx, dual)
+    for xidx in range(len(values)):
+        xs = jets_of(xidx, True)
         acc = ops.zero()
-        for yidx in range(D**m):
-            yjets = jets_of(yidx, win)
+        for v, yjets in zip(values, ys):
             e = 0
-            for xj, yj in zip(xjets, yjets):
-                e = add_q(e, residue_pair(xj, yj).code)
-            acc = acc + phi.values[yidx] * psi_vals[e]
+            for x, y in zip(xs, yjets):
+                e = base.add_code(e, residue_pair(x, y).code)
+            acc = acc + v * psi_vals[e]
         out.append(ops.scale(acc, shift))
-    return LocalTestFunction(pd, dual, m, out, phi.mode)
+    return out
+
+
+def fourier_direct(phi: LocalTestFunction) -> LocalTestFunction:
+    """The cross-check oracle for fourier_multi."""
+    pd, win = phi.pd, phi.window
+    out = _direct_table_transform(phi.values, [(pd, win)] * phi.arity)
+    return LocalTestFunction(pd, win.dual(pd.nu), phi.arity, out)
 
 
 # -- jets and the coefficient isomorphism -------------------------------------
@@ -384,15 +392,18 @@ def _big_table(p, size, kind, seed):
     return vals
 
 
-def _generic_exact(phi):
-    ops = ops_for(phi.pd, "exact")
-    D = jet_space_size(phi.pd, phi.window)
-    values = phi.values
-    for axis in range(phi.arity):
-        values, dual = _generic_axis_transform(
-            values, ops, phi.pd, phi.window, D**axis, D ** (phi.arity - axis - 1)
+def _generic_table_transform(values, axes):
+    sizes = [jet_space_size(pd, w) for pd, w in axes]
+    for k, (pd, w) in enumerate(axes):
+        values, _ = _generic_axis_transform(
+            values, ops_for(pd, "exact"), pd, w, prod(sizes[:k]), prod(sizes[k + 1 :])
         )
-    return LocalTestFunction(phi.pd, dual, phi.arity, values)
+    return values
+
+
+def _generic_exact(phi):
+    out = _generic_table_transform(phi.values, [(phi.pd, phi.window)] * phi.arity)
+    return LocalTestFunction(phi.pd, phi.window.dual(phi.pd.nu), phi.arity, out)
 
 
 @pytest.mark.parametrize(
@@ -447,6 +458,60 @@ def test_fourier_switches_to_python_ints_between_axes(monkeypatch):
     assert out.table_equal(fourier_direct(phi))
     assert out.table_equal(_generic_exact(phi))
     assert fourier_multi(out).table_equal(phi)  # char 2: -x = x
+
+
+def _small_table(p, size, seed):
+    rng = random.Random(seed)
+    def coeff():
+        return Fraction(rng.randrange(-4, 5), rng.choice((1, 1, 2, 3)))
+
+    return [CycScalar(p, [coeff() for _ in range(p - 1)]) for _ in range(size)]
+
+
+_P2_T = place_data(Place.finite(Poly(F2, [0, 1])))  # Q = 2
+_P2_T2 = place_data(Place.finite(Poly(F2, [1, 1, 1])))  # Q = 4
+_P3_T = place_data(Place.finite(Poly(F3, [0, 1])))  # Q = 3
+_P3_T2 = place_data(Place.finite(Poly(F3, [1, 0, 1])))  # Q = 9
+
+
+@pytest.mark.parametrize(
+    "axes,kind",
+    [
+        ([(_P2_T, Window(1, 2)), (_P2_T2, Window(0, 1))], "small"),
+        ([(_P2_T2, Window(1, 1)), (_P2_T, Window(0, 1))], "huge"),
+        ([(_P2_T, Window(1, 1)), (_P2_T2, Window(0, 1)), (_P2_T, Window(0, 2))], "wide"),
+        ([(_P3_T, Window(1, 1)), (_P3_T2, Window(0, 1))], "small"),
+        ([(_P2_T, Window(0, 0)), (_P2_T2, Window(0, 1))], "small"),
+        ([(_P2_T2, Window(0, 1)), (_P2_T, Window(0, 0))], "huge"),
+        ([(_P3_T, Window(0, 0))], "small"),
+        ([(_P2_T, Window(1, 1))] * 3, "small"),
+        ([(_P3_T, Window(0, 1))] * 3, "huge"),
+    ],
+    ids=[
+        "q2k3-q4k1",
+        "q4k2-q2k1",
+        "three-places",
+        "p3-q3k2-q9k1",
+        "k0-first",
+        "k0-last",
+        "k0-alone",
+        "arity3-p2",
+        "arity3-p3",
+    ],
+)
+def test_transform_table_matches_oracles(axes, kind):
+    # the axes differ in Q and in K, so a level left uncontracted, a lost
+    # transpose or a gather on the wrong axis changes some cell
+    p = axes[0][0].base.p
+    size = prod(jet_space_size(pd, w) for pd, w in axes)
+    if kind == "small":
+        values = _small_table(p, size, seed=size)
+    else:
+        values = _big_table(p, size, kind, seed=size)
+    arr, den = _transform_table(*_table_of(values, p, "exact"), axes)
+    got = _int_to_values(arr, den, p)
+    assert got == _direct_table_transform(values, axes)
+    assert got == _generic_table_transform(values, axes)
 
 
 def test_fourier_multi_zero():
