@@ -315,15 +315,20 @@ def cmd_local_fourier(args) -> int:
     from .localfield import LocalTestFunction, fourier_multi, index_to_jet, jet_space_size
     from .place import PlaceData
 
-    field = make_field(args.p, args.e)
-    pd = PlaceData.synthetic(field, args.d, args.nu)
-    win = parse_window(args.window)
     if args.infile:
         phi = local_fn_from_json(_read_json(args.infile))
-    elif args.delta is not None:
-        phi = LocalTestFunction.delta(pd, win, args.delta)
+        # the report's config describes the function that was read
+        base = phi.pd.base
+        args = argparse.Namespace(**vars(args))
+        args.p, args.e, args.d, args.nu = base.p, base.e, phi.pd.d, phi.pd.nu
+        args.window, args.arity = f"{phi.window.N},{phi.window.M}", phi.arity
     else:
-        phi = LocalTestFunction.indicator_integral(pd, win, args.arity)
+        pd = PlaceData.synthetic(make_field(args.p, args.e), args.d, args.nu)
+        win = parse_window(args.window)
+        if args.delta is not None:
+            phi = LocalTestFunction.delta(pd, win, args.delta)
+        else:
+            phi = LocalTestFunction.indicator_integral(pd, win, args.arity)
     out = fourier_multi(phi)
     report = base_report(
         "local-fourier", args, ["p", "e", "d", "nu", "window", "arity", "delta"]
@@ -383,7 +388,9 @@ def global_fn_from_json(field, data: dict) -> GlobalTestFunction:
     from .globalfield import GlobalTestFunction
 
     where = "global function"
-    _json_get(data, "q", int, where)
+    q = _json_get(data, "q", int, where)
+    if q != field.q:
+        raise ParseError(f"{where}: the file's field has q = {q}, the run's has q = {field.q}")
     for i, entry in enumerate(_json_get(data, "places", list, where)):
         at = f"{where}: places[{i}]"
         poly = _json_get(entry, "poly", None, at)
@@ -502,8 +509,7 @@ def cmd_alg_check(args) -> int:
         AlgebraDescriptor,
         AlgebraElement,
         AlgebraJet,
-        reduced_char_poly,
-        reduced_norm,
+        reduced_char_polys,
         w_valuation,
     )
     from .poly import RationalFn
@@ -523,12 +529,12 @@ def cmd_alg_check(args) -> int:
         checked += 1
         if w_valuation(a * b) != wa + wb:
             violations += 1
-    s = AlgebraElement.s(desc)
-    cp = reduced_char_poly(s)
+    (cp,) = reduced_char_polys(desc, [AlgebraElement.s(desc)])
     t = RationalFn.t(field)
     expected = [-t] + [RationalFn.zero(field)] * (desc.n - 1) + [RationalFn.one(field)]
-    cp_ok = cp.coeffs == expected
-    nrd_ok = reduced_norm(s) == t
+    # Nrd = (-1)^n c_0, and c_0 = -t, so Nrd(s) = (-1)^(n-1) t: -t at n = 2
+    nrd = cp[0] if desc.n % 2 == 0 else -cp[0]
+    nrd_label, nrd_expected = ("Nrd(s) = t", t) if desc.n % 2 else ("Nrd(s) = -t", -t)
     report = base_report(
         "alg-check", args, ["p", "e", "n", "exponent", "samples", "seed", "depth"]
     )
@@ -540,8 +546,8 @@ def cmd_alg_check(args) -> int:
             # no pair checked: the row compares nothing
             "equal": violations == 0 if checked else None,
         },
-        {"check": "charpoly(s) = X^n - t", "equal": cp_ok},
-        {"check": "Nrd(s) = t", "equal": nrd_ok},
+        {"check": "charpoly(s) = X^n - t", "equal": cp == expected},
+        {"check": nrd_label, "equal": nrd == nrd_expected},
     ]
     report["all_equal"] = _verdict(
         row["equal"] for row in report["rows"] if row["equal"] is not None

@@ -289,227 +289,6 @@ def reduced_trace(x: AlgebraElement) -> RationalFn:
 
 
 # ---------------------------------------------------------------------------
-# Splitting representation and reduced invariants
-# ---------------------------------------------------------------------------
-
-
-def _embed_rational(f: RationalFn, big: FieldDescriptor) -> RationalFn:
-    def lift(p: Poly) -> Poly:
-        return Poly(big, [big.embed(f.field.from_code(c)).code for c in p.coeffs])
-
-    return RationalFn(lift(f.num), lift(f.den))
-
-
-def splitting_matrix(x: AlgebraElement):
-    """The image of x in M_n over L(t): L acts by its conjugates on the
-    diagonal and s by the cyclic shift with a single t entry.
-
-    With P: v_c -> lambda_c v_{c-1}, lambda_0 = t, the power P^i has one
-    entry per row r, at column (r + i) mod n, equal to t if r + i >= n and
-    to 1 otherwise; u_i s^i contributes the r-th conjugate of u_i there."""
-    desc = x.desc
-    n, L = desc.n, desc.L
-    zero = RationalFn.zero(L)
-    t = RationalFn.t(L)
-    out = [[zero for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        # diagonal of conjugates of u_i = sum_j x[i][j] d_j
-        diag = []
-        for r in range(n):
-            acc = RationalFn.zero(L)
-            for j in range(n):
-                xij = x.x[i][j]
-                if not xij.is_zero():
-                    dj_conj = L.from_code(desc.gpow(r, desc.d_basis[j].code))
-                    acc = acc + _embed_rational(xij, L) * RationalFn(
-                        Poly.constant(L, dj_conj)
-                    )
-            diag.append(acc)
-        for r in range(n):
-            out[r][(r + i) % n] = diag[r] * t if r + i >= n else diag[r]
-    return out
-
-
-class XPoly:
-    """Polynomial in one variable X over any exact field-like coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
-        self.coeffs = coeffs
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return XPoly(out)
-
-    def __neg__(self):
-        return XPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if self.is_zero() or other.is_zero():
-            return XPoly([])
-        z = self.coeffs[0] - self.coeffs[0]
-        out = [z] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a.is_zero():
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-        return XPoly(out)
-
-    def __divmod__(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError
-        rem = list(self.coeffs)
-        dd = other.degree
-        lead = other.coeffs[-1]
-        z = lead - lead
-        quo = [z] * max(len(rem) - dd, 0)
-        for k in range(len(rem) - 1, dd - 1, -1):
-            c = rem[k]
-            if not c.is_zero():
-                f = c / lead
-                quo[k - dd] = f
-                for i, oc in enumerate(other.coeffs):
-                    rem[k - dd + i] = rem[k - dd + i] - f * oc
-        return XPoly(quo), XPoly(rem[:dd])
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def gcd(self, other):
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        if not a.is_zero():
-            lead = a.coeffs[-1]
-            a = XPoly([c / lead for c in a.coeffs])
-        return a
-
-    def derivative(self):
-        if self.degree < 1:
-            return XPoly([])
-        out = []
-        for i in range(1, len(self.coeffs)):
-            c = self.coeffs[i]
-            acc = c - c
-            for _ in range(i % _char_of(c)):
-                acc = acc + c
-            out.append(acc)
-        return XPoly(out)
-
-    def __eq__(self, other):
-        return isinstance(other, XPoly) and other.coeffs == self.coeffs
-
-    def __repr__(self):
-        return "X:" + repr(self.coeffs)
-
-
-def _char_of(c) -> int:
-    if isinstance(c, RationalFn):
-        return c.field.p
-    if isinstance(c, FieldElem):
-        return c.field.p
-    raise TypeError
-
-
-def char_poly_of_matrix(mat, zero, one) -> XPoly:
-    """det(X I - mat) by Leibniz expansion; fine for the small n here."""
-    n = len(mat)
-    total = XPoly([])
-    for perm in itertools.permutations(range(n)):
-        sign = _perm_sign(perm)
-        prod = XPoly([one])
-        for r in range(n):
-            c = perm[r]
-            entry = XPoly([zero - mat[r][c], one]) if r == c else XPoly([zero - mat[r][c]])
-            prod = prod * entry
-            if prod.is_zero():
-                break
-        if sign < 0:
-            prod = -prod
-        total = total + prod
-    return total
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def reduced_char_poly(x: AlgebraElement) -> XPoly:
-    """Characteristic polynomial through the splitting representation, with
-    the Galois-descent of its coefficients to F_q(t) verified."""
-    desc = x.desc
-    L = desc.L
-    mat = splitting_matrix(x)
-    cp = char_poly_of_matrix(mat, RationalFn.zero(L), RationalFn.one(L))
-    out = []
-    for c in cp.coeffs:
-        out.append(_descend_rational(c, desc.base, L))
-    return XPoly(out)
-
-
-def _descend_rational(f: RationalFn, small: FieldDescriptor, big: FieldDescriptor) -> RationalFn:
-    def down(p: Poly) -> Poly:
-        codes = []
-        for c in p.coeffs:
-            codes.append(big.section(big.from_code(c), small).code)
-        return Poly(small, codes)
-
-    try:
-        return RationalFn(down(f.num), down(f.den))
-    except ValueError as exc:
-        raise RuntimeError(
-            "reduced characteristic polynomial fails Galois descent; internal fault"
-        ) from exc
-
-
-def reduced_norm(x: AlgebraElement) -> RationalFn:
-    cp = reduced_char_poly(x)
-    n = x.desc.n
-    c0 = cp.coeffs[0]
-    return c0 if n % 2 == 0 else -c0
-
-
-def is_regular_semisimple(x: AlgebraElement) -> bool:
-    """Distinct eigenvalues over the closure: the reduced characteristic
-    polynomial is squarefree."""
-    cp = reduced_char_poly(x)
-    g = cp.gcd(cp.derivative())
-    return g.degree == 0
-
-
-# ---------------------------------------------------------------------------
 # Integrality
 # ---------------------------------------------------------------------------
 
@@ -768,9 +547,27 @@ class _LCodeOps:
         return out
 
 
-def _charpoly_records(desc: AlgebraDescriptor, M: int, digits: np.ndarray) -> np.ndarray:
-    """Encoded (charpoly mod t^M, w-class) records of a batch of S_0/t^M
-    jets, given as a (B, n M) array of L-codes by level.
+def _perm_sign(perm) -> int:
+    sign = 1
+    seen = [False] * len(perm)
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        length = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def _charpoly_coeffs(desc: AlgebraDescriptor, M: int, digits: np.ndarray) -> np.ndarray:
+    """F_q-codes (B, n, M) of the reduced characteristic polynomials mod t^M
+    of a batch of S_0/t^M jets, given as a (B, n M) array of L-codes by
+    level: [b, j, m] is the t^m coefficient of X^j.
 
     The jet sum_k c_k s^k has s-adic coefficients u_i = sum_m c_{nm+i} t^m,
     and its splitting matrix has A[r][c] = g^r(u_i) with i = (c - r) mod n,
@@ -816,6 +613,15 @@ def _charpoly_records(desc: AlgebraDescriptor, M: int, digits: np.ndarray) -> np
         raise RuntimeError(
             "reduced characteristic polynomial fails Galois descent; internal fault"
         )
+    return down
+
+
+def _charpoly_records(desc: AlgebraDescriptor, M: int, digits: np.ndarray) -> np.ndarray:
+    """Encoded (charpoly mod t^M, w-class) records of a batch of S_0/t^M
+    jets, given as a (B, n M) array of L-codes by level."""
+    n, q = desc.n, desc.base.q
+    B, K = digits.shape
+    down = _charpoly_coeffs(desc, M, digits)
     # the w-class: the level of the first nonzero digit, K for the zero jet
     w = np.full(B, K, dtype=np.int64)
     for k in range(K - 1, -1, -1):
@@ -827,6 +633,32 @@ def _charpoly_records(desc: AlgebraDescriptor, M: int, digits: np.ndarray) -> np
         for m in range(M):
             rec = rec * q + down[:, j, m]
     return rec
+
+
+def reduced_char_polys(desc: AlgebraDescriptor, elements) -> list[list[RationalFn]]:
+    """Reduced characteristic polynomials [c_0, .., c_{n-1}, 1] of elements
+    with coefficients in F_q[t], from one batch of _charpoly_coeffs.
+
+    With d the largest t-degree of a coefficient, every splitting-matrix
+    entry has t-degree at most d, plus one below the diagonal, and a
+    permutation of a k-subset has at most k - 1 entries below the diagonal.
+    So c_(n-k) has t-degree at most k d + k - 1 <= n (d + 1) - 1, and the
+    polynomials mod t^M with M = n (d + 1) are exact."""
+    base, n = desc.base, desc.n
+    if any(x.desc is not desc for x in elements):
+        raise ValueError("elements of a different algebra form")
+    coeffs = [c for x in elements for row in x.x for c in row]
+    if not all(c.is_polynomial() for c in coeffs):
+        raise ValueError("reduced characteristic polynomials need coefficients in F_q[t]")
+    if not coeffs:
+        return []
+    M = n * (max(0, *(c.num.degree for c in coeffs)) + 1)
+    digits = np.array([element_to_jet(x, 0, n * M).codes for x in elements], dtype=np.int64)
+    one = RationalFn.one(base)
+    return [
+        [RationalFn(Poly(base, cp)) for cp in batch] + [one]
+        for batch in _charpoly_coeffs(desc, M, digits).tolist()
+    ]
 
 
 def jet_from_index(desc: AlgebraDescriptor, lo: int, hi: int, idx: int) -> AlgebraJet:
@@ -1047,51 +879,72 @@ def fourier_D(phi: AlgebraTestFunction) -> AlgebraTestFunction:
 
 
 class MatchedPair:
-    """Elements of the two forms with identical reduced char polynomials;
-    `regular` records whether that polynomial is squarefree."""
+    """Elements of the two forms with identical reduced characteristic
+    polynomials `charpoly`, [c_0, .., c_(n-1), 1]; `regular` records whether
+    that polynomial is squarefree."""
 
     __slots__ = ("c", "c_dot", "provenance", "charpoly", "regular")
 
-    def __init__(self, c: AlgebraElement, c_dot: AlgebraElement, provenance: str):
+    def __init__(
+        self, c: AlgebraElement, c_dot: AlgebraElement, provenance: str, charpoly, regular: bool
+    ):
         self.c = c
         self.c_dot = c_dot
         self.provenance = provenance
-        cp = reduced_char_poly(c)
-        cp_dot = reduced_char_poly(c_dot)
-        if cp != cp_dot:
-            raise ValueError("matched pair has differing characteristic polynomials")
-        self.charpoly = cp
-        self.regular = cp.gcd(cp.derivative()).degree == 0
-
-    def is_regular_semisimple(self) -> bool:
-        return self.regular
+        self.charpoly = charpoly
+        self.regular = regular
 
     def __repr__(self):
         return f"MatchedPair({self.provenance})"
 
 
-def matched_pair(desc: AlgebraDescriptor, desc_dot: AlgebraDescriptor, b) -> MatchedPair:
-    """The orbit-map pair (b s, b s-dot) for b in L^*."""
+def _bs_element(desc: AlgebraDescriptor, bcodes) -> AlgebraElement:
+    """b s, for b in L given by its F_q-codes on the d-basis."""
+    el = AlgebraElement.zero(desc)
+    for j, code in enumerate(bcodes):
+        el.x[1][j] = RationalFn.constant(desc.base, desc.base.from_code(code))
+    return AlgebraElement(desc, el.x)
+
+
+def _matched_pairs(desc, desc_dot, provenance: str, elements, elements_dot) -> list[MatchedPair]:
+    """Pairs of one provenance, with one reduced_char_polys batch per form.
+
+    Regularity has a closed form, with no gcd over F_q(t).  b s has the
+    polynomial X^n - N(b) t, and N(b) t != 0, so it is prime to its
+    derivative n X^(n-1) exactly when p does not divide n.  An x in L(t)
+    outside F_q(t) has n distinct conjugates, since Gal(L(t)/F_q(t)) has
+    prime order n, so its polynomial, the product of the X - sigma(x), is
+    squarefree; a central x has (X - x)^n."""
     if desc.base is not desc_dot.base or desc.n != desc_dot.n:
         raise ValueError("forms must share the base field and degree")
+    cps = reduced_char_polys(desc, elements)
+    if cps != reduced_char_polys(desc_dot, elements_dot):
+        raise ValueError("matched pair has differing characteristic polynomials")
+    pairs = []
+    for c, c_dot, cp in zip(elements, elements_dot, cps):
+        if provenance == "bs-form":
+            regular = desc.n % desc.base.p != 0
+        else:
+            regular = not all(u.is_zero() for u in c.x[0][1:])
+        pairs.append(MatchedPair(c, c_dot, provenance, cp, regular))
+    return pairs
+
+
+def matched_pair(desc: AlgebraDescriptor, desc_dot: AlgebraDescriptor, b) -> MatchedPair:
+    """The orbit-map pair (b s, b s-dot) for b in L^*."""
     bcodes = desc.coords(b) if isinstance(b, FieldElem) else tuple(b)
     if not any(bcodes):
         raise ValueError("b must be a nonzero element of L")
-
-    def make(d):
-        el = AlgebraElement.zero(d)
-        for j, code in enumerate(bcodes):
-            el.x[1][j] = RationalFn.constant(d.base, d.base.from_code(code))
-        return AlgebraElement(d, el.x)
-
-    return MatchedPair(make(desc), make(desc_dot), "bs-form")
+    return _matched_pairs(
+        desc, desc_dot, "bs-form", [_bs_element(desc, bcodes)], [_bs_element(desc_dot, bcodes)]
+    )[0]
 
 
 def matched_pair_L(desc: AlgebraDescriptor, desc_dot: AlgebraDescriptor, coeff_vector) -> MatchedPair:
     """A common element of the shared commutative subalgebra L(F_q(t))."""
     c = AlgebraElement.from_L(desc, coeff_vector)
     c_dot = AlgebraElement.from_L(desc_dot, coeff_vector)
-    return MatchedPair(c, c_dot, "L-common")
+    return _matched_pairs(desc, desc_dot, "L-common", [c], [c_dot])[0]
 
 
 def theorem_a_report(
@@ -1123,7 +976,7 @@ def theorem_a_report(
                 "value_D": v,
                 "value_D_dot": v_dot,
                 "equal": v == v_dot,
-                "charpoly": repr(pair.charpoly.coeffs),
+                "charpoly": repr(pair.charpoly),
             }
         )
         rows.append(row)
@@ -1134,33 +987,36 @@ def default_pair_list(
     desc: AlgebraDescriptor, desc_dot: AlgebraDescriptor, count: int = 20, seed: int = 1
 ) -> list[MatchedPair]:
     """Up to count regular semisimple pairs: b s pairs for b in L^* in code
-    order, then deterministic L-common elements."""
+    order, then deterministic L-common elements outside F_q(t)."""
     import random
 
-    pairs = []
-    # b s has reduced characteristic polynomial X^n - N(b) t, whose
-    # derivative vanishes when p divides n: then no b s pair is regular
-    bs_codes = range(1, desc.L.q) if desc.n % desc.base.p else ()
-    for code in bs_codes:
-        if len(pairs) >= count:
-            break
-        pair = matched_pair(desc, desc_dot, desc.L.from_code(code))
-        if pair.regular:
-            pairs.append(pair)
+    # b s is regular exactly when p does not divide n (see _matched_pairs)
+    n_bs = min(count, desc.L.q - 1) if desc.n % desc.base.p else 0
+    bcodes = [desc.coords(desc.L.from_code(code)) for code in range(1, n_bs + 1)]
+    pairs = _matched_pairs(
+        desc,
+        desc_dot,
+        "bs-form",
+        [_bs_element(desc, b) for b in bcodes],
+        [_bs_element(desc_dot, b) for b in bcodes],
+    )
     rng = random.Random(seed)
     base, n = desc.base, desc.n
+    vectors = []
     attempts = 0
-    while len(pairs) < count and attempts < 100 * count:
+    while len(pairs) + len(vectors) < count and attempts < 100 * count:
         attempts += 1
         vec = []
         for j in range(n):
             deg = rng.randrange(0, 2)
-            vec.append(Poly(base, [rng.randrange(base.q) for _ in range(deg + 1)]))
-        coeffs = [RationalFn(p) for p in vec]
-        if all(c.is_zero() for c in coeffs[1:]):
-            continue  # central: never regular semisimple
-        pair = matched_pair_L(desc, desc_dot, coeffs)
-        if pair.regular:
-            pairs.append(pair)
+            vec.append(RationalFn(Poly(base, [rng.randrange(base.q) for _ in range(deg + 1)])))
+        if not all(c.is_zero() for c in vec[1:]):  # a central vector is never regular
+            vectors.append(vec)
+    pairs += _matched_pairs(
+        desc,
+        desc_dot,
+        "L-common",
+        [AlgebraElement.from_L(desc, v) for v in vectors],
+        [AlgebraElement.from_L(desc_dot, v) for v in vectors],
+    )
     return pairs
-

@@ -96,6 +96,17 @@ def test_alg_check_command(tmp_path):
     assert rep["all_equal"] is True
 
 
+def test_alg_check_reduced_norm_of_s_at_n2(tmp_path):
+    # s^2 = t: charpoly X^2 - t, so Nrd(s) = (-1)^2 c_0 = -t
+    code, text = run_cli(
+        ["alg-check", "--p", "3", "--n", "2", "--samples", "100", "--seed", "1"], tmp_path
+    )
+    assert code == 0
+    rows = json.loads(text)["rows"]
+    assert rows[2] == {"check": "Nrd(s) = -t", "equal": True}
+    assert rows[1] == {"check": "charpoly(s) = X^n - t", "equal": True}
+
+
 def test_theorem_a_command_small(tmp_path):
     code, text = run_cli(
         [
@@ -285,6 +296,33 @@ def test_input_file_bad_json_or_missing_exits_2(tmp_path, capsys):
     missing = str(tmp_path / "absent.json")
     assert main(["local-fourier", "--p", "2", "--in", missing]) == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+def test_local_fourier_config_describes_the_input_file(tmp_path):
+    from ffpoisson.cli import local_fn_to_json
+    from ffpoisson.localfield import LocalTestFunction, Window
+    from ffpoisson.place import PlaceData
+
+    pd = PlaceData.synthetic(F3, 1, 0)
+    phi = LocalTestFunction.indicator_integral(pd, Window(0, 1), 2)
+    path = tmp_path / "fn.json"
+    path.write_text(json.dumps(local_fn_to_json(phi)))
+    code, text = run_cli(["local-fourier", "--p", "2", "--in", str(path)], tmp_path)
+    assert code == 0
+    report = json.loads(text)
+    config = report["config"]
+    assert (config["p"], config["e"], config["d"], config["nu"]) == (3, 1, 1, 0)
+    assert (config["window"], config["arity"]) == ("0,1", 2)
+    assert (report["result"]["q"], report["result"]["arity"]) == (3, 2)
+
+
+def test_poisson_input_field_mismatch_names_both_sizes(tmp_path, capsys):
+    data = dict(_global_fn_json(), q=3, table=[[[1, 1], [0, 1]]] * 9)
+    path = tmp_path / "fn.json"
+    path.write_text(json.dumps(data))
+    assert main(["poisson", "--p", "2", "--in", str(path), "--out", "/dev/null"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "q = 3" in err and "q = 2" in err
 
 
 def test_local_input_schema_errors_exit_2(tmp_path, capsys):

@@ -22,23 +22,20 @@ from ffpoisson.cyclic_algebra import (
     integral_test,
     invariant_fn,
     invariant_records,
-    is_regular_semisimple,
     jet_from_index,
     jet_index,
     matched_pair,
     matched_pair_L,
     random_unit_jet,
-    reduced_char_poly,
-    reduced_norm,
+    reduced_char_polys,
     reduced_trace,
     residue_algebra_class,
     s0_test,
-    splitting_matrix,
     target_s_charpoly,
     theorem_a_report,
     w_valuation,
 )
-from ffpoisson import cyclic_algebra, linalg
+from ffpoisson import cyclic_algebra
 from ffpoisson.cyclic_algebra import _perm_sign
 from ffpoisson.localfield import Window, _int64_or_object, _values_to_int
 from ffpoisson.place import Place
@@ -276,52 +273,55 @@ def test_distributivity_random():
         assert alg_mul(x, y + z) == alg_mul(x, y) + alg_mul(x, z)
 
 
+def _nrd(x):
+    """Nrd(x) = (-1)^n c_0 from the one characteristic-polynomial routine."""
+    c0 = reduced_char_polys(x.desc, [x])[0][0]
+    return c0 if x.desc.n % 2 == 0 else -c0
+
+
+def _rand_poly_elem(desc, rng, deg=1):
+    """An element with coefficients in F_q[t] of t-degree at most deg."""
+    q = desc.base.q
+    return AlgebraElement(
+        desc,
+        [
+            [
+                RationalFn(Poly(desc.base, [rng.randrange(q) for _ in range(deg + 1)]))
+                for _ in range(desc.n)
+            ]
+            for _ in range(desc.n)
+        ],
+    )
+
+
 def test_splitting_matrix_identity():
-    M = splitting_matrix(AlgebraElement.one(D3))
-    for r in range(3):
-        for c in range(3):
-            expected = RationalFn.one(D3.L) if r == c else RationalFn.zero(D3.L)
-            assert M[r][c] == expected
+    # 1 is the identity matrix: its polynomial is (X - 1)^3 = X^3 + X^2 + X + 1 over F_2
+    one = RationalFn.one(F2)
+    assert reduced_char_polys(D3, [AlgebraElement.one(D3)]) == [[one] * 4]
 
 
 def test_splitting_matrix_s_determinant():
-    M = splitting_matrix(AlgebraElement.s(D3))
-    det = linalg.determinant(M, RationalFn.zero(D3.L), RationalFn.one(D3.L))
-    assert det == RationalFn.t(D3.L)
-
-
-def _mat_mul(a, b):
-    """The schoolbook matrix product over any ring of exact values."""
-    return [
-        [sum((x * y for x, y in zip(row[1:], col[1:])), row[0] * col[0]) for col in zip(*b)]
-        for row in a
-    ]
+    # det of b s is N(b) t, and every norm from F_8^* is 1
+    t = RationalFn.t(F2)
+    for code in range(1, 8):
+        bs = alg_mul(L_elem(D3, code), AlgebraElement.s(D3))
+        assert _nrd(bs) == t
 
 
 def test_splitting_matrix_is_homomorphism():
+    # the determinant of the splitting matrix is multiplicative
     rng = random.Random(7)
-
-    def rand_elem():
-        return AlgebraElement(
-            D3,
-            [
-                [RationalFn(Poly(F2, [rng.randrange(2) for _ in range(2)])) for _ in range(3)]
-                for _ in range(3)
-            ],
-        )
-
-    for _ in range(10):
-        x, y = rand_elem(), rand_elem()
-        lhs = splitting_matrix(alg_mul(x, y))
-        rhs = _mat_mul(splitting_matrix(x), splitting_matrix(y))
-        assert lhs == rhs
+    for desc in (D3, D3dot):
+        for _ in range(10):
+            x, y = _rand_poly_elem(desc, rng), _rand_poly_elem(desc, rng)
+            assert _nrd(alg_mul(x, y)) == _nrd(x) * _nrd(y)
 
 
 def test_reduced_char_poly_of_s():
-    cp = reduced_char_poly(AlgebraElement.s(D3))
+    (cp,) = reduced_char_polys(D3, [AlgebraElement.s(D3)])
     t = RationalFn.t(F2)
-    assert cp.coeffs == [-t, RationalFn.zero(F2), RationalFn.zero(F2), RationalFn.one(F2)]
-    assert reduced_norm(AlgebraElement.s(D3)) == t
+    assert cp == [-t, RationalFn.zero(F2), RationalFn.zero(F2), RationalFn.one(F2)]
+    assert _nrd(AlgebraElement.s(D3)) == t
 
 
 def test_reduced_char_poly_of_bs():
@@ -330,38 +330,24 @@ def test_reduced_char_poly_of_bs():
     for code in range(1, 8):
         b = D3.L.from_code(code)
         pair = matched_pair(D3, D3dot, b)
-        assert pair.charpoly.coeffs[0] == -t
-        assert pair.is_regular_semisimple()
+        assert pair.charpoly[0] == -t
+        assert pair.regular
 
 
 def test_reduced_char_poly_of_central_scalar():
+    # (X - f)^3 = X^3 + f X^2 + f^2 X + f^3 over F_2, and f is not regular
     f = RationalFn(Poly(F2, (1, 1)))
     x = AlgebraElement.central(D3, f)
-    cp = reduced_char_poly(x)
-    # (X - f)^3
-    from ffpoisson.cyclic_algebra import XPoly
-
-    lin = XPoly([-f, RationalFn.one(F2)])
-    expected = lin * lin * lin
-    assert cp == expected
-    assert not is_regular_semisimple(x)
+    assert reduced_char_polys(D3, [x]) == [[f * f * f, f * f, f, RationalFn.one(F2)]]
+    assert not matched_pair_L(D3, D3dot, [f, RationalFn.zero(F2), RationalFn.zero(F2)]).regular
 
 
 def test_reduced_trace_matches_matrix_trace():
+    # -c_2 is the trace of the splitting matrix
     rng = random.Random(3)
-    for _ in range(10):
-        x = AlgebraElement(
-            D3,
-            [
-                [RationalFn(Poly(F2, [rng.randrange(2) for _ in range(2)])) for _ in range(3)]
-                for _ in range(3)
-            ],
-        )
-        M = splitting_matrix(x)
-        tr = M[0][0] + M[1][1] + M[2][2]
-        from ffpoisson.cyclic_algebra import _descend_rational
-
-        assert _descend_rational(tr, F2, D3.L) == reduced_trace(x)
+    xs = [_rand_poly_elem(D3, rng) for _ in range(10)]
+    for x, cp in zip(xs, reduced_char_polys(D3, xs)):
+        assert -cp[2] == reduced_trace(x)
 
 
 def test_integrality():
@@ -446,7 +432,7 @@ def test_element_to_jet_multiplicative():
 def test_matched_pair_b_one():
     pair = matched_pair(D3, D3dot, D3.L.one())
     t = RationalFn.t(F2)
-    assert pair.charpoly.coeffs[0] == -t
+    assert pair.charpoly[0] == -t
     assert pair.provenance == "bs-form"
 
 
@@ -459,7 +445,7 @@ def test_matched_pair_L_common():
     pair = matched_pair_L(D3, D3dot, coeffs)
     assert pair.provenance == "L-common"
     assert pair.c.x == pair.c_dot.x
-    assert pair.is_regular_semisimple()
+    assert pair.regular
 
 
 def test_matched_pair_rejects_zero():
@@ -469,19 +455,13 @@ def test_matched_pair_rejects_zero():
 
 def test_charpoly_jet_matches_exact():
     rng = random.Random(5)
-    for _ in range(25):
-        table = [
-            [RationalFn(Poly(F2, [rng.randrange(2) for _ in range(2)])) for _ in range(3)]
-            for _ in range(3)
-        ]
-        x = AlgebraElement(D3, table)
-        M = 2
-        jet = element_to_jet(x, 0, 3 * M)
-        cp_jet = charpoly_jet(D3, jet, M)
-        cp = reduced_char_poly(x)
-        pd = D3._pd0
+    xs = [_rand_poly_elem(D3, rng) for _ in range(25)]
+    M = 2
+    pd = D3._pd0
+    for x, cp in zip(xs, reduced_char_polys(D3, xs)):
+        cp_jet = charpoly_jet(D3, element_to_jet(x, 0, 3 * M), M)
         for j in range(3):
-            series = pd.expand(cp.coeffs[j], M)
+            series = pd.expand(cp[j], M)
             assert tuple(series.at(m).code for m in range(M)) == cp_jet[j]
 
 
@@ -612,11 +592,8 @@ def test_theorem_a_converts_only_the_rows_it_reads(monkeypatch):
 
 
 def test_theorem_a_skips_non_regular():
-    central = AlgebraElement.central(D3, RationalFn.one(F2))
-    central_dot = AlgebraElement.central(D3dot, RationalFn.one(F2))
-    from ffpoisson.cyclic_algebra import MatchedPair
-
-    pair = MatchedPair(central, central_dot, "L-common")
+    one, zero = RationalFn.one(F2), RationalFn.zero(F2)
+    pair = matched_pair_L(D3, D3dot, [one, zero, zero])
     rows = theorem_a_report(D3, D3dot, RecipeConst(), [pair], Window(0, 1))
     assert rows[0]["status"].startswith("skipped")
 
@@ -651,17 +628,11 @@ def test_invariant_records_distinct_counts_match_across_forms():
 
 
 def test_splitting_matrix_injective_on_nonzero():
+    # D is a division algebra: Nrd(x) = 0 only for x = 0
     rng = random.Random(31)
-    zero = RationalFn.zero(D3.L)
-    for _ in range(20):
-        table = [
-            [RationalFn(Poly(F2, [rng.randrange(2) for _ in range(2)])) for _ in range(3)]
-            for _ in range(3)
-        ]
-        x = AlgebraElement(D3, table)
-        M = splitting_matrix(x)
-        nonzero_matrix = any(not M[r][c].is_zero() for r in range(3) for c in range(3))
-        assert nonzero_matrix == (not x.is_zero())
+    xs = [_rand_poly_elem(D3, rng) for _ in range(20)] + [AlgebraElement.zero(D3)]
+    for x, cp in zip(xs, reduced_char_polys(D3, xs)):
+        assert cp[0].is_zero() == x.is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -773,7 +744,7 @@ def test_records_of_matched_pairs_match_reduced_char_poly(p):
     for pair in pairs:
         want = tuple(
             tuple(pd.expand(c, M).at(m).code for m in range(M))
-            for c in pair.charpoly.coeffs[: desc.n]
+            for c in pair.charpoly[: desc.n]
         )
         for d, el in ((desc, pair.c), (desc_dot, pair.c_dot)):
             jet = element_to_jet(el, 0, K)
@@ -819,11 +790,120 @@ def test_default_pairs_skip_b_s_when_p_divides_n(monkeypatch):
         for code in range(1, D3p3.L.q)
     )
     built = []
+    bs_element = cyclic_algebra._bs_element
     monkeypatch.setattr(
-        cyclic_algebra, "matched_pair", lambda *args: built.append(args) or matched_pair(*args)
+        cyclic_algebra, "_bs_element", lambda *args: built.append(args) or bs_element(*args)
     )
     pairs = default_pair_list(D3p3, D3p3dot, count=20, seed=1)
     assert built == [] and len(pairs) == 20
-    # at p = 2 the b s pairs are still built and come first
+    # at p = 2 the b s pairs are still built, one per form, and come first
     assert default_pair_list(D3, D3dot, count=3)[0].provenance == "bs-form"
-    assert len(built) == 3
+    assert len(built) == 6
+
+
+# ---------------------------------------------------------------------------
+# The one characteristic-polynomial routine against the algebra itself
+# ---------------------------------------------------------------------------
+
+
+def _cayley_hamilton_cases(desc, desc_dot):
+    """Random F_q[t] elements of t-degree up to 2, the default pairs, and
+    b t^d s^(n-1), whose c_0 = (-1)^(n-1) N(b) t^(n d + n - 1) reaches the
+    degree bound n (d + 1) - 1 of reduced_char_polys."""
+    rng = random.Random(desc.base.q)
+    xs = [_rand_poly_elem(desc, rng, deg) for deg in (0, 1, 2) for _ in range(4)]
+    for pair in default_pair_list(desc, desc_dot, count=8, seed=1):
+        xs += [pair.c]
+    s_top = AlgebraElement.s(desc)
+    for _ in range(desc.n - 2):
+        s_top = alg_mul(s_top, AlgebraElement.s(desc))
+    for d in (0, 1, 2):
+        b = L_elem(desc, rng.randrange(1, desc.L.q))
+        td = AlgebraElement.central(desc, RationalFn(Poly(desc.base, [0] * d + [1])))
+        xs.append(alg_mul(alg_mul(b, td), s_top))
+    return xs
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_charpolys_satisfy_cayley_hamilton(p):
+    # sum_k c_k x^k = 0 with the algebra's own multiplication, and -c_(n-1)
+    # is the reduced trace: no matrix model involved
+    desc, desc_dot = (D3, D3dot) if p == 2 else (D3p3, D3p3dot)
+    xs = _cayley_hamilton_cases(desc, desc_dot)
+    cps = reduced_char_polys(desc, xs)
+    for x, cp in zip(xs, cps):
+        assert len(cp) == desc.n + 1 and cp[-1] == RationalFn.one(desc.base)
+        acc = AlgebraElement.zero(desc)
+        power = AlgebraElement.one(desc)
+        for c in cp:
+            acc = acc + power.scale(c)
+            power = alg_mul(power, x)
+        assert acc.is_zero()
+        assert -cp[desc.n - 1] == reduced_trace(x)
+    # the bound is reached: b t^2 s^2 has c_0 of t-degree n (2 + 1) - 1
+    assert cps[-1][0].num.degree == desc.n * 3 - 1
+    # a batch of one gives what the batch of all gave
+    assert [reduced_char_polys(desc, [x])[0] for x in xs[-4:]] == cps[-4:]
+
+
+def test_reduced_char_polys_rejects_poles_and_other_forms():
+    pole = AlgebraElement.central(D3, RationalFn(Poly.one(F2), Poly.x(F2)))
+    with pytest.raises(ValueError, match="F_q\\[t\\]"):
+        reduced_char_polys(D3, [pole])
+    with pytest.raises(ValueError, match="different algebra form"):
+        reduced_char_polys(D3, [AlgebraElement.s(D3dot)])
+    assert reduced_char_polys(D3, []) == []
+
+
+def _conjugates(desc, vec):
+    """The distinct Galois conjugates of sum_j vec[j] d_j in L[t], as
+    tuples of L-codes by t-power, through desc.gpow."""
+    L = desc.L
+    deg = max(c.num.degree for c in vec)
+    out = set()
+    for i in range(desc.n):
+        conj = []
+        for m in range(deg + 1):
+            acc = 0
+            for j, c in enumerate(vec):
+                code = c.num.coeffs[m] if m < len(c.num.coeffs) else 0
+                if code:
+                    d = desc.gpow(i, desc.d_basis[j].code)
+                    acc = L.add_code(acc, L.mul_code(L.embed(desc.base.from_code(code)).code, d))
+            conj.append(acc)
+        out.add(tuple(conj))
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_regularity_closed_form_against_conjugates(p):
+    # an L-common element is regular exactly when it has n distinct
+    # conjugates; b s has X^n - N(b) t, with N(b) the product of the
+    # conjugates of b, and is regular exactly when p does not divide n
+    desc, desc_dot = (D3, D3dot) if p == 2 else (D3p3, D3p3dot)
+    base, L = desc.base, desc.L
+    t = RationalFn.t(base)
+    vecs = []
+    for code in range(1, L.q):
+        z = L.from_code(code)
+        vecs.append([RationalFn.constant(base, base.from_code(c)) for c in desc.coords(z)])
+        norm = 1
+        for i in range(desc.n):
+            norm = L.mul_code(norm, desc.gpow(i, code))
+        pair = matched_pair(desc, desc_dot, z)
+        assert pair.charpoly[0] == -t * RationalFn.constant(base, L.section(L.from_code(norm), base))
+        assert pair.regular == (desc.n % p != 0)
+    rng = random.Random(17)
+    for _ in range(40):
+        coeffs = [[rng.randrange(base.q) for _ in range(2)] for _ in range(desc.n)]
+        vecs.append([RationalFn(Poly(base, c)) for c in coeffs])
+    regular = 0
+    for vec in vecs:
+        if all(c.is_zero() for c in vec):
+            continue
+        pair = matched_pair_L(desc, desc_dot, vec)
+        count = len(_conjugates(desc, vec))
+        assert count in (1, desc.n)
+        assert pair.regular == (count == desc.n)
+        regular += pair.regular
+    assert 0 < regular < len(vecs)
