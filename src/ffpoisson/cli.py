@@ -5,7 +5,9 @@ Reports are JSON (optionally a CSV summary) with the full configuration,
 library version, and exact values embedded; identical configurations give
 byte-identical reports, and the exit code is 0 only if every equality flag
 in the run is true; a run whose checks compare nothing reports
-``all_equal: null`` and exits 4.  No floating point appears anywhere.
+``all_equal: null`` and exits 4.  No value is ever a float: float64
+carries integers below 2^53 only through the transforms' matmuls, where
+every sum is exact.
 """
 
 from __future__ import annotations
@@ -322,6 +324,7 @@ def cmd_local_fourier(args) -> int:
         args = argparse.Namespace(**vars(args))
         args.p, args.e, args.d, args.nu = base.p, base.e, phi.pd.d, phi.pd.nu
         args.window, args.arity = f"{phi.window.N},{phi.window.M}", phi.arity
+        args.delta = None
     else:
         pd = PlaceData.synthetic(make_field(args.p, args.e), args.d, args.nu)
         win = parse_window(args.window)
@@ -566,6 +569,11 @@ def cmd_theorem_a(args) -> int:
         theorem_a_report,
     )
 
+    if args.n == 2:
+        raise ParseError(
+            "theorem-a compares two forms, but at n = 2 the only nonzero generator"
+            " exponent mod n is 1: there is one form"
+        )
     field = make_field(args.p, args.e)
     exps = [int(x) for x in args.exponents.split(",")]
     if len(exps) != 2 or exps[0] % args.n == exps[1] % args.n:

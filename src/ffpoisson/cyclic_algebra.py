@@ -27,8 +27,8 @@ import numpy as np
 from . import linalg
 from .localfield import (
     _contract_levels,
+    _contraction_input,
     _digit_matrix,
-    _int64_or_object,
     _Table,
     _values_to_int,
 )
@@ -115,22 +115,23 @@ class AlgebraDescriptor:
     @property
     def nu_D(self) -> int:
         """t-adic valuation of det of the reduced-trace Gram matrix on the
-        d_j s^i basis; must be even (it is n(n-1) here, but we compute it)."""
+        d_j s^i basis; must be even.  Trd(d_j s^i d_l s^k) is the trace of
+        the s^0 coefficient of d_j g^i(d_l) s^(i+k), so it vanishes unless
+        i + k = 0 or n, and there it is t^((i+k)/n) Tr(d_j g^i(d_l)).  The
+        matrix is a permutation of n blocks B_i = [Tr(d_j g^i(d_l))] over
+        F_q, n - 1 of them times t, so det = +-t^(n(n-1)) prod det B_i."""
         if self._nu_D is None:
-            n = self.n
-            basis = []
-            for i in range(n):
-                for j in range(n):
-                    basis.append(basis_element(self, i, j))
-            gram = [
-                [reduced_trace(alg_mul(x, y)) for y in basis] for x in basis
-            ]
-            zero = RationalFn.zero(self.base)
-            one = RationalFn.one(self.base)
-            det = linalg.determinant(gram, zero, one)
-            if det.is_zero():
-                raise RuntimeError("degenerate trace pairing; internal error")
-            val = det.order_at_poly(Poly.x(self.base))
+            n, base, L = self.n, self.base, self.L
+            tr = L.trace_table(base.e)
+            zero, one = base.from_code(0), base.from_code(1)
+            codes = [dj.code for dj in self.d_basis]
+            for gi in self._gpow:
+                block = [
+                    [base.from_code(tr[L.mul_code(dj, gi[dl])]) for dl in codes] for dj in codes
+                ]
+                if linalg.determinant(block, zero, one).is_zero():
+                    raise RuntimeError("degenerate trace pairing; internal error")
+            val = n * (n - 1)
             if val % 2 != 0:
                 raise ValueError(
                     f"dual-lattice exponent {val} is odd; this configuration is rejected"
@@ -848,7 +849,8 @@ def fourier_D(phi: AlgebraTestFunction) -> AlgebraTestFunction:
     Factorized exactly like the local jet transform, through the same
     engine: a levelwise character transform over L on the integer table,
     then a gather through the level bijection j <-> -n-j with its Galois
-    twist.  int64 while the sums fit, Python ints past that."""
+    twist.  float64 or int64 inside the contraction while the sums fit,
+    Python ints past that; the table itself is int64 or object."""
     desc = phi.desc
     base, L = desc.base, desc.L
     p, n = base.p, desc.n
@@ -857,7 +859,7 @@ def fourier_D(phi: AlgebraTestFunction) -> AlgebraTestFunction:
     Q = L.q
     D = Q**K
     vol = Fraction(base.q) ** (-(desc.nu_D // 2) - phi.hi * desc.n)
-    arr = _int64_or_object(phi._arr, D * 4 * vol.numerator)
+    arr = _contraction_input(phi._arr, D * 4 * vol.numerator, Q * p)
     g = _contract_levels(arr, desc.L_place_data(), K).reshape(D, p)
 
     # output jet x -> u digits: u at input level j is g^(j mod n) of x's
@@ -883,7 +885,7 @@ class MatchedPair:
     polynomials `charpoly`, [c_0, .., c_(n-1), 1]; `regular` records whether
     that polynomial is squarefree."""
 
-    __slots__ = ("c", "c_dot", "provenance", "charpoly", "regular")
+    __slots__ = ("c", "c_dot", "provenance", "charpoly", "regular", "_jets")
 
     def __init__(
         self, c: AlgebraElement, c_dot: AlgebraElement, provenance: str, charpoly, regular: bool
@@ -893,6 +895,18 @@ class MatchedPair:
         self.provenance = provenance
         self.charpoly = charpoly
         self.regular = regular
+        self._jets: dict[tuple[int, int], tuple[AlgebraJet, AlgebraJet]] = {}
+
+    def jets(self, lo: int, hi: int) -> tuple[AlgebraJet, AlgebraJet]:
+        """The jets of c and c_dot on the w-window [lo, hi), computed once
+        per window."""
+        got = self._jets.get((lo, hi))
+        if got is None:
+            got = self._jets[lo, hi] = (
+                element_to_jet(self.c, lo, hi),
+                element_to_jet(self.c_dot, lo, hi),
+            )
+        return got
 
     def __repr__(self):
         return f"MatchedPair({self.provenance})"
@@ -968,8 +982,8 @@ def theorem_a_report(
         if F is None:
             F = fourier_D(invariant_fn(desc, recipe, window))
             F_dot = fourier_D(invariant_fn(desc_dot, recipe, window))
-        v = F.value_at(element_to_jet(pair.c, F.lo, F.hi))
-        v_dot = F_dot.value_at(element_to_jet(pair.c_dot, F.lo, F.hi))
+        jet, jet_dot = pair.jets(F.lo, F.hi)
+        v, v_dot = F.value_at(jet), F_dot.value_at(jet_dot)
         row.update(
             {
                 "status": "ok",

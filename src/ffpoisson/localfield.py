@@ -15,7 +15,11 @@ numpy int64 while every entry is below the overflow guard, object arrays
 of Python ints past it.  Transforms, reindexing and sums work on that
 array, one jet axis at a time: per level one reshape, transpose and
 matmul that carries the level from the front of the table to its end,
-then a gather; CycScalar values are built only when they are read.
+then a gather; CycScalar values are built only when they are read.  No
+value is ever a float: while every sum of a contraction provably stays
+below 2^53, a matmul large enough to gain from BLAS carries the integers
+in float64, where BLAS sums them exactly, and the result returns to int64
+before anything reads it.
 Symbolic tables keep their MotivicClass values in one object column and
 take a direct double sum.
 """
@@ -32,6 +36,15 @@ from .place import PlaceData
 from .scalars import CycScalar, FieldElem
 
 _INT64_GUARD = 1 << 60
+# each output of a contraction sums Q terms per level, so |sum| <= factor *
+# max|entry| < 2^53: every partial sum is an integer float64 holds exactly,
+# so dgemm is exact in any summation order, FMA included
+_FLOAT64_EXACT = 1 << 53
+# a contraction of fewer multiply-adds per level stays in int64: in a fresh
+# process the first dgemm costs about 0.08 ms and 0.9 MB more than an int64
+# matmul, more than dgemm saves on so small a product (OpenBLAS 0.3.31,
+# 2-core x86 host)
+_FLOAT64_MIN_WORK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -322,7 +335,8 @@ def _kernel_matmul(pd: PlaceData, dtype) -> np.ndarray:
     """The levelwise character transform as a (Q p, Q p) 0/1 matrix: row
     a p + i, column b p + o is 1 where o = i + E[b, a] mod p, with E[b, a]
     the exponent of psi(Tr(z_b z_a)).  Built once per place from E; the
-    object copy is made when an object table first needs it."""
+    float64 and object copies are made when a table of that dtype first
+    needs one."""
     kernels = getattr(pd, "_kernel_matmul", None)
     if kernels is None:
         Q, p = pd.ku.q, pd.base.p
@@ -374,13 +388,32 @@ def _values_to_int(values, p: int):
     return _int64_or_object(arr, 1), den
 
 
+def _max_abs(arr) -> int:
+    return max(int(arr.max(initial=0)), -int(arr.min(initial=0)))
+
+
 def _int64_or_object(arr, factor: int):
     """arr itself while factor * max|entry| stays below _INT64_GUARD, else
     arr as Python ints: the guard that keeps int64 sums from wrapping."""
+    if arr.dtype == object or _max_abs(arr) * factor < _INT64_GUARD:
+        return arr
+    return arr.astype(object)
+
+
+def _contraction_input(arr, factor: int, width: int):
+    """arr in the dtype its contraction runs in, by the bound factor *
+    max|entry| on every sum: float64 below both _FLOAT64_EXACT and
+    _INT64_GUARD, when each level's matmul against the (width, width)
+    kernel takes at least _FLOAT64_MIN_WORK multiply-adds; int64 below
+    _INT64_GUARD; Python ints past it."""
     if arr.dtype == object:
         return arr
-    bound = max(int(arr.max(initial=0)), -int(arr.min(initial=0)))
-    return arr if bound * factor < _INT64_GUARD else arr.astype(object)
+    bound = _max_abs(arr) * factor
+    if bound >= _INT64_GUARD:
+        return arr.astype(object)
+    if bound < _FLOAT64_EXACT and arr.size * width >= _FLOAT64_MIN_WORK:
+        return arr.astype(np.float64)
+    return arr
 
 
 def _int_to_values(arr, den: int, p: int):
@@ -445,13 +478,16 @@ def _contract_levels(arr, pd: PlaceData, K: int):
     sum_a arr[a, ..] psi(Tr(z_b z_a)) per level, shaped (rest, Q**K, p).
     Each level is one rotation: its axis leaves the front and its
     transform lands last, so after K levels the jet axis sits last, in
-    order.  The dtype of arr is kept, so the caller decides whether int64
-    sums fit: each level multiplies max|entry| by Q."""
+    order.  The caller picks the dtype by _contraction_input, since each
+    level multiplies max|entry| by Q; a float64 table comes back as int64,
+    so the result is int64 or object."""
     p, Q = pd.base.p, pd.ku.q
     ker = _kernel_matmul(pd, arr.dtype)
     work = arr.reshape(Q**K, -1, p)
     for _ in range(K):
         work = work.reshape(Q, -1, p).transpose(1, 0, 2).reshape(-1, Q * p) @ ker
+    if work.dtype == np.float64:
+        work = work.astype(np.int64)
     return work.reshape(-1, Q**K, p)
 
 
@@ -484,12 +520,13 @@ def _dual_gather_index(pd: PlaceData, win: Window) -> np.ndarray:
 def _rep_axis_transform(arr, den: int, pd: PlaceData, win: Window):
     """The leading jet-space axis of the integer table arr / den, transformed
     onto the dual window and moved last: (arr, den) with the other axes in
-    their order in front.  The table runs in int64 while the sums provably
-    fit and in Python ints otherwise, through the same contraction."""
+    their order in front.  The contraction runs in float64 or int64 while
+    the sums provably fit and in Python ints otherwise; its result is
+    int64 or object."""
     p = pd.base.p
     K = win.levels
     scale = Fraction(pd.base.q) ** (pd.d * (pd.nu // 2 - win.M))
-    arr = _int64_or_object(arr, pd.ku.q**K * 4 * scale.numerator)
+    arr = _contraction_input(arr, pd.ku.q**K * 4 * scale.numerator, pd.ku.q * p)
     out = _contract_levels(arr, pd, K)[:, _dual_gather_index(pd, win)]
     if scale.numerator != 1:
         out = out * scale.numerator

@@ -7,7 +7,9 @@ are stored as integer codes: the code of sum(c_i * X^i) is sum(c_i * p^i).
 
 Character values live in the cyclotomic rationals Q(zeta_p), written on the
 basis 1, zeta, ..., zeta^(p-2) with exact Fraction coefficients.  All sums
-and integrals downstream reduce to this ring; no floating point anywhere.
+and integrals downstream reduce to this ring, and no value is ever a float:
+the transforms' matmuls carry integers below 2^53 in float64, where every
+sum is exact.
 """
 
 from __future__ import annotations

@@ -316,6 +316,33 @@ def test_local_fourier_config_describes_the_input_file(tmp_path):
     assert (report["result"]["q"], report["result"]["arity"]) == (3, 2)
 
 
+def test_local_fourier_input_file_reports_no_delta(tmp_path):
+    # --delta selects a built-in function; with --in the file's table is
+    # transformed, so the config must not claim the delta
+    from ffpoisson.cli import local_fn_to_json
+    from ffpoisson.localfield import LocalTestFunction, Window
+    from ffpoisson.place import PlaceData
+
+    pd = PlaceData.synthetic(F3, 1, 0)
+    path = tmp_path / "fn.json"
+    path.write_text(json.dumps(local_fn_to_json(LocalTestFunction.indicator_integral(pd, Window(1, 1)))))
+    code, text = run_cli(["local-fourier", "--p", "3", "--in", str(path), "--delta", "2"], tmp_path)
+    assert code == 0
+    report = json.loads(text)
+    assert report["config"]["delta"] is None
+    code, plain = run_cli(["local-fourier", "--p", "3", "--in", str(path)], tmp_path, "plain.json")
+    assert code == 0 and plain == text
+
+
+def test_theorem_a_at_n2_names_the_missing_second_form(tmp_path, capsys):
+    argv = ["theorem-a", "--p", "3", "--n", "2", "--window", "0,1", "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "n = 2" in err and "one form" in err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_poisson_input_field_mismatch_names_both_sizes(tmp_path, capsys):
     data = dict(_global_fn_json(), q=3, table=[[[1, 1], [0, 1]]] * 9)
     path = tmp_path / "fn.json"

@@ -35,7 +35,7 @@ from ffpoisson.cyclic_algebra import (
     theorem_a_report,
     w_valuation,
 )
-from ffpoisson import cyclic_algebra
+from ffpoisson import cyclic_algebra, linalg
 from ffpoisson.cyclic_algebra import _perm_sign
 from ffpoisson.localfield import Window, _int64_or_object, _values_to_int
 from ffpoisson.place import Place
@@ -533,6 +533,63 @@ def test_fourier_D_value_exact_past_int64():
     assert value == CycScalar.rational(2, big * 512 * vol)
 
 
+def _odd_values(p, size, top, seed):
+    """size scalars whose zeta-coefficients are odd integers of absolute
+    value at most top, one of them -top and the others positive, so the
+    sum over every jet is near size * top."""
+    rng = random.Random(seed)
+
+    def coeff():
+        return Fraction(rng.randrange(top // 2, top) | 1)
+
+    vals = [CycScalar(p, [coeff() for _ in range(p - 1)]) for _ in range(size)]
+    vals[0] = CycScalar(p, [Fraction(-top)] + [Fraction(1)] * (p - 2))
+    return vals
+
+
+def _odd_below(limit, factor):
+    """The largest odd t with factor * t < limit."""
+    t = (limit - 1) // factor
+    return t if t % 2 else t - 1
+
+
+def _odd_above(limit, factor):
+    """The smallest odd t with factor * t >= limit."""
+    t = -(-limit // factor)
+    return t if t % 2 else t + 1
+
+
+@pytest.mark.parametrize(
+    "top,dtype",
+    [
+        (_odd_below(1 << 53, 512 * 4), np.float64),
+        (_odd_above(1 << 53, 512 * 4), np.int64),
+        (_odd_below(1 << 60, 512 * 4), np.int64),
+    ],
+    ids=["float64-below-2^53", "int64-above-2^53", "int64-below-2^60"],
+)
+def test_fourier_D_contraction_tiers_at_their_bounds(top, dtype, monkeypatch):
+    # D3 on [0, 3) has 512 jets and vol = 2^-12, so the guard bounds every
+    # sum by 512 * 4 * max|entry|; float64 would drop the odd low bits of
+    # the int64 tables' sums
+    dtypes = []
+    contract = cyclic_algebra._contract_levels
+
+    def spy(arr, *args):
+        dtypes.append(arr.dtype)
+        return contract(arr, *args)
+
+    monkeypatch.setattr(cyclic_algebra, "_contract_levels", spy)
+    phi = AlgebraTestFunction(D3, 0, 3, _odd_values(2, 512, top, seed=top % 997))
+    full = fourier_D(phi)
+    assert dtypes == [np.dtype(dtype)]
+    assert full._arr.dtype == np.int64
+    rng = random.Random(top % 991)
+    for k in sorted({0, 1, 511} | {rng.randrange(512) for _ in range(12)}):
+        jet = jet_from_index(D3, full.lo, full.hi, k)
+        assert fourier_D_value(phi, jet) == full.values[k], k
+
+
 def test_fourier_D_past_int64_matches_value():
     # every sum of the constant 2^61 table overflows int64; fourier_D must
     # switch to Python ints and agree with the pointwise transform
@@ -557,9 +614,29 @@ def test_fourier_D_invariance_transport():
         assert out.value_at(jx) == out.value_at(xc.truncate(out.lo, out.hi))
 
 
+def _gram_nu_D(desc):
+    """nu_D from its definition: the t-adic valuation of the determinant
+    over F_q(t) of the reduced-trace Gram matrix on the d_j s^i basis."""
+    n = desc.n
+    basis = [basis_element(desc, i, j) for i in range(n) for j in range(n)]
+    gram = [[reduced_trace(alg_mul(x, y)) for y in basis] for x in basis]
+    det = linalg.determinant(gram, RationalFn.zero(desc.base), RationalFn.one(desc.base))
+    assert not det.is_zero()
+    return det.order_at_poly(Poly.x(desc.base))
+
+
 def test_nu_D_matches_gram_determinant():
-    assert D3.nu_D == 6
-    assert D3dot.nu_D == 6
+    for p, n, a in [(2, 3, 1), (2, 3, 2), (3, 3, 1), (3, 2, 1), (2, 5, 1), (2, 5, 3)]:
+        desc = AlgebraDescriptor(make_field(p), n, a)
+        assert desc.nu_D == _gram_nu_D(desc) == n * (n - 1), (p, n, a)
+
+
+def test_nu_D_singular_block_is_an_internal_fault():
+    # with d_1 = d_0 every block B_i has two equal rows
+    desc = AlgebraDescriptor(F2, 3, 1)
+    desc.d_basis = [desc.d_basis[0]] * 3
+    with pytest.raises(RuntimeError, match="degenerate trace pairing"):
+        desc.nu_D
 
 
 def test_theorem_a_small_window():
@@ -569,6 +646,26 @@ def test_theorem_a_small_window():
         rows = theorem_a_report(D3, D3dot, recipe, pairs, Window(0, 1))
         ok = [r for r in rows if r["status"] == "ok"]
         assert ok and all(r["equal"] for r in ok)
+
+
+def test_theorem_a_reads_each_pairs_jets_once_per_window(monkeypatch):
+    pairs = default_pair_list(D3, D3dot, count=6, seed=4)
+    recipes = (RecipeConst(), RecipePsiTrace(), RecipeCharPolyCoset(target_s_charpoly(D3, 1)))
+    calls = []
+    to_jet = cyclic_algebra.element_to_jet
+
+    def spy(x, lo, hi):
+        calls.append((lo, hi))
+        return to_jet(x, lo, hi)
+
+    monkeypatch.setattr(cyclic_algebra, "element_to_jet", spy)
+    for recipe in recipes:
+        rows = theorem_a_report(D3, D3dot, recipe, pairs, Window(0, 1))
+        assert all(r["equal"] for r in rows)
+    # two forms per pair, once across the three recipes
+    assert calls == [dual_jet_window(D3, 0, 3)] * 12
+    theorem_a_report(D3, D3dot, RecipeConst(), pairs, Window(0, 2))
+    assert calls[12:] == [dual_jet_window(D3, 0, 6)] * 12
 
 
 def test_theorem_a_converts_only_the_rows_it_reads(monkeypatch):

@@ -602,9 +602,20 @@ def test_poisson_family_without_int64_path(monkeypatch):
     fast = poisson_family(field, places)
     monkeypatch.setattr(localfield, "_INT64_GUARD", 1)
     monkeypatch.setattr(globalfield, "_INT64_GUARD", 1)
+    dtypes = []
+    contract = localfield._contract_levels
+
+    def spy(arr, *args):
+        dtypes.append(arr.dtype)
+        return contract(arr, *args)
+
+    # g's dtype alone would not show it: the later guard in
+    # _poisson_functionals casts a float64 or int64 result to object too
+    monkeypatch.setattr(localfield, "_contract_levels", spy)
     support = [(INF2, Window(1, 1)), (P0, Window(1, 1))]
     c, g, den = _poisson_functionals(F2, support)
     assert g.dtype == object
+    assert dtypes and set(dtypes) == {np.dtype(object)}
     assert poisson_family(field, places) == fast
 
 

@@ -514,6 +514,106 @@ def test_transform_table_matches_oracles(axes, kind):
     assert got == _generic_table_transform(values, axes)
 
 
+# -- the working dtype of each contraction ------------------------------------------
+
+
+@pytest.fixture
+def contraction_dtypes(monkeypatch):
+    """The dtype of every table handed to _contract_levels, in order."""
+    dtypes = []
+    contract = localfield._contract_levels
+
+    def spy(arr, *args):
+        dtypes.append(arr.dtype)
+        return contract(arr, *args)
+
+    monkeypatch.setattr(localfield, "_contract_levels", spy)
+    return dtypes
+
+
+def _odd_below(limit, factor):
+    """The largest odd t with factor * t < limit."""
+    t = (limit - 1) // factor
+    return t if t % 2 else t - 1
+
+
+def _odd_above(limit, factor):
+    """The smallest odd t with factor * t >= limit."""
+    t = -(-limit // factor)
+    return t if t % 2 else t + 1
+
+
+def _odd_table(p, size, top, seed):
+    """size scalars whose zeta-coefficients are odd integers of absolute
+    value at most top, one of them -top."""
+    rng = random.Random(seed)
+
+    def coeff():
+        return Fraction(rng.choice((-1, 1)) * (rng.randrange(top // 2, top) | 1))
+
+    vals = [CycScalar(p, [coeff() for _ in range(p - 1)]) for _ in range(size)]
+    vals[0] = CycScalar(p, [Fraction(-top)] + [Fraction(1)] * (p - 2))
+    return vals
+
+
+@pytest.mark.parametrize(
+    "p,d,win",
+    [(2, 5, Window(1, 0)), (3, 2, Window(1, 1))],
+    ids=["q=32", "q=9"],
+)
+@pytest.mark.parametrize(
+    "bound,limit,dtype",
+    [(_odd_below, 1 << 53, np.float64), (_odd_above, 1 << 53, np.int64), (_odd_below, 1 << 60, np.int64)],
+    ids=["float64-below-2^53", "int64-above-2^53", "int64-below-2^60"],
+)
+def test_contraction_tiers_at_their_bounds(p, d, win, bound, limit, dtype, contraction_dtypes):
+    # the guard bounds every sum by factor * max|entry|, with factor =
+    # Q^K * 4 here (the scale's numerator is 1); max|entry| is the odd
+    # integer next to limit / factor, and float64 would drop the odd low
+    # bits of the int64 tables' sums.  Each level's matmul takes D p * Q p
+    # >= 4096 multiply-adds, enough work for float64.
+    pd = synth(make_field(p), d, 0)
+    D = jet_space_size(pd, win)
+    top = bound(limit, D * 4)
+    phi = LocalTestFunction(pd, win, 1, _odd_table(p, D, top, seed=top % 997))
+    out = fourier_multi(phi)
+    assert contraction_dtypes == [np.dtype(dtype)]
+    assert list(pd._kernel_matmul) == list(dict.fromkeys([np.dtype(np.int64), np.dtype(dtype)]))
+    assert out._arr.dtype == np.int64
+    assert out.table_equal(fourier_direct(phi))
+    assert out.table_equal(_generic_exact(phi))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_small_contraction_stays_int64_below_the_float_bound(p, contraction_dtypes):
+    # one level of Q = p jets is a (p, p^2) @ (p^2, p^2) matmul: too few
+    # multiply-adds for float64 to pay for itself
+    pd = synth(make_field(p), 1, 0)
+    win = Window(1, 1)
+    D = jet_space_size(pd, win)
+    phi = LocalTestFunction(pd, win, 1, _odd_table(p, D, _odd_below(1 << 53, D * 4), seed=p))
+    out = fourier_multi(phi)
+    assert contraction_dtypes == [np.dtype(np.int64)]
+    assert list(pd._kernel_matmul) == [np.dtype(np.int64)]
+    assert out.table_equal(fourier_direct(phi))
+
+
+def test_contraction_tiers_switch_across_axes(contraction_dtypes):
+    # a constant c comes out of an axis with Q^K jets as Q^K c at jet 0;
+    # the axes have Q^K = 2, 16 and 16, so with c just over 2^49 the bounds
+    # are 8 c < 2^53 (float64), 64 * 2 c in [2^53, 2^60) (int64) and
+    # 64 * 32 c >= 2^60 (object); odd noise fills the low bits.  The first
+    # axis's matmul takes 1024 * 4 = 4096 multiply-adds, enough for float64.
+    axes = [(_P2_T, Window(0, 1)), (_P2_T2, Window(1, 1)), (_P2_T2, Window(0, 2))]
+    size = prod(jet_space_size(pd, w) for pd, w in axes)
+    rng = random.Random(13)
+    c = 2**49 + 2**41
+    values = [CycScalar.rational(2, c + rng.randrange(-7, 8, 2)) for _ in range(size)]
+    arr, den = _transform_table(*_table_of(values, 2, "exact"), axes)
+    assert contraction_dtypes == [np.dtype(np.float64), np.dtype(np.int64), np.dtype(object)]
+    assert _int_to_values(arr, den, 2) == _generic_table_transform(values, axes)
+
+
 def test_fourier_multi_zero():
     pd = synth(F3, 1, 0)
     z = LocalTestFunction.zero_function(pd, Window(1, 1), 2)
