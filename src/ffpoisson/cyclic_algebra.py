@@ -123,13 +123,12 @@ class AlgebraDescriptor:
         if self._nu_D is None:
             n, base, L = self.n, self.base, self.L
             tr = L.trace_table(base.e)
-            zero, one = base.from_code(0), base.from_code(1)
             codes = [dj.code for dj in self.d_basis]
             for gi in self._gpow:
                 block = [
                     [base.from_code(tr[L.mul_code(dj, gi[dl])]) for dl in codes] for dj in codes
                 ]
-                if linalg.determinant(block, zero, one).is_zero():
+                if linalg.determinant(block, base.zero(), base.one()).is_zero():
                     raise RuntimeError("degenerate trace pairing; internal error")
             val = n * (n - 1)
             if val % 2 != 0:
