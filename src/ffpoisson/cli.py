@@ -314,7 +314,7 @@ def cmd_euler(args) -> int:
 
 
 def cmd_local_fourier(args) -> int:
-    from .localfield import LocalTestFunction, fourier_multi, index_to_jet, jet_space_size
+    from .localfield import LocalTestFunction, flip, fourier_multi
     from .place import PlaceData
 
     if args.infile:
@@ -329,6 +329,8 @@ def cmd_local_fourier(args) -> int:
         pd = PlaceData.synthetic(make_field(args.p, args.e), args.d, args.nu)
         win = parse_window(args.window)
         if args.delta is not None:
+            if args.arity != 1:
+                raise ParseError("--delta gives a function of one variable; --arity must be 1")
             phi = LocalTestFunction.delta(pd, win, args.delta)
         else:
             phi = LocalTestFunction.indicator_integral(pd, win, args.arity)
@@ -338,20 +340,8 @@ def cmd_local_fourier(args) -> int:
     )
     report["result"] = local_fn_to_json(out)
     if args.check_inversion:
-        back = fourier_multi(out)
-        D = jet_space_size(phi.pd, phi.window)
-        ok = True
-        for idx in range(D**phi.arity):
-            jets = []
-            k = idx
-            for _ in range(phi.arity):
-                jets.append(k % D)
-                k //= D
-            jets.reverse()
-            flipped = [-index_to_jet(phi.pd, phi.window, j) for j in jets]
-            if back.values[idx] != phi.value_at(*flipped):
-                ok = False
-                break
+        # F(F(phi))(x) = phi(-x)
+        ok = fourier_multi(out).table_equal(flip(phi))
         report["inversion_exact"] = ok
         report["all_equal"] = ok
     return emit_report(report, args)

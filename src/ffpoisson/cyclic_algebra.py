@@ -29,7 +29,9 @@ from .localfield import (
     _contract_levels,
     _contraction_input,
     _digit_matrix,
+    _from_digits,
     _Table,
+    _to_digits,
     _values_to_int,
 )
 from .place import Place, PlaceData, coordinate_tables, place_data
@@ -662,22 +664,11 @@ def reduced_char_polys(desc: AlgebraDescriptor, elements) -> list[list[RationalF
 
 
 def jet_from_index(desc: AlgebraDescriptor, lo: int, hi: int, idx: int) -> AlgebraJet:
-    K = hi - lo
-    q = desc.L.q
-    codes = []
-    for _ in range(K):
-        codes.append(idx % q)
-        idx //= q
-    codes.reverse()
-    return AlgebraJet(desc, lo, hi, codes)
+    return AlgebraJet(desc, lo, hi, _to_digits(idx, desc.L.q, hi - lo))
 
 
 def jet_index(jet: AlgebraJet) -> int:
-    q = jet.desc.L.q
-    idx = 0
-    for c in jet.codes:
-        idx = idx * q + c
-    return idx
+    return _from_digits(jet.codes, jet.desc.L.q)
 
 
 def invariant_records(desc: AlgebraDescriptor, M: int) -> np.ndarray:
@@ -703,16 +694,9 @@ def invariant_records(desc: AlgebraDescriptor, M: int) -> np.ndarray:
 def decode_record(desc: AlgebraDescriptor, M: int, rec: int):
     """Inverse of the record encoding: ((c_0.., c_{n-1}) t-jets, w_class)."""
     n, q = desc.n, desc.base.q
-    digits = []
-    for _ in range(n * M):
-        digits.append(rec % q)
-        rec //= q
-    digits.reverse()
-    w = rec
-    cp = []
-    for j in range(n):
-        cp.append(tuple(digits[j * M : (j + 1) * M]))
-    return tuple(cp), w
+    w, low = divmod(rec, q ** (n * M))
+    digits = _to_digits(low, q, n * M)
+    return tuple(tuple(digits[j * M : (j + 1) * M]) for j in range(n)), w
 
 
 # ---------------------------------------------------------------------------
@@ -800,17 +784,13 @@ class AlgebraTestFunction(_Table):
         phi._set_table(arr, den, desc.base.p, "exact")
         return phi
 
+    def _shape(self) -> tuple:
+        return (self.lo, self.hi)
+
     def value_at(self, jet: AlgebraJet):
         if jet.lo != self.lo or jet.hi != self.hi:
             raise ValueError("jet window mismatch")
         return self._value(jet_index(jet))
-
-    def table_equal(self, other):
-        return (
-            self.lo == other.lo
-            and self.hi == other.hi
-            and all(a == b for a, b in zip(self.values, other.values))
-        )
 
 
 def invariant_fn(desc: AlgebraDescriptor, recipe: InvariantRecipe, window) -> AlgebraTestFunction:

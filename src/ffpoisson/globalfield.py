@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
 import numpy as np
 
@@ -26,9 +27,15 @@ from .localfield import (
     Window,
     _check_transformable,
     _code_tables,
+    _digit_matrix,
+    _extend_lookup,
     _field_code_tables,
+    _from_digits,
     _generic_axis_transform,
     _int64_or_object,
+    _lookup_index,
+    _mixed_radix_index,
+    _refine_lookup,
     _Table,
     _table_of,
     _transform_table,
@@ -203,33 +210,6 @@ def jet_at(f: RationalFn, u: Place, window: Window) -> JetVector:
 # ---------------------------------------------------------------------------
 
 
-def _mixed_radix_index(sizes, axis_perm, new_sizes=None) -> np.ndarray:
-    """Flat positions in a row-major table with the given axis sizes, listed
-    in the row-major order of a new table whose axis i is old axis
-    axis_perm[i].  An axis_perm entry None is a new axis of size
-    new_sizes[i] that the table does not depend on; every old axis appears
-    exactly once."""
-    idx = np.arange(_prod(sizes), dtype=np.int64).reshape(sizes)
-    idx = idx.transpose([a for a in axis_perm if a is not None])
-    if new_sizes is not None:
-        shape = [1 if a is None else sizes[a] for a in axis_perm]
-        idx = np.broadcast_to(idx.reshape(shape), new_sizes)
-    return idx.reshape(-1)
-
-
-def _lookup_index(sizes, lookups) -> np.ndarray:
-    """Flat positions in a row-major table with the given axis sizes, listed
-    in the row-major order of a new table whose axis k reads old position
-    lookups[k][a] at its index a; a lookup of -1, and every cell that reads
-    one, is -1."""
-    idx = np.zeros((), dtype=np.int64)
-    for size, look in zip(sizes, lookups):
-        look = np.asarray(look, dtype=np.int64)
-        cell = idx[..., None] * size + look
-        idx = np.where((idx[..., None] < 0) | (look < 0), -1, cell)
-    return idx.reshape(-1)
-
-
 class GlobalTestFunction(_Table):
     """Support list of (place, window), arity m, dense table.
 
@@ -250,13 +230,15 @@ class GlobalTestFunction(_Table):
         return phi
 
     def _setup(self, field, support, arity, arr, den, mode):
+        if arity < 1:
+            raise ValueError(f"arity must be at least 1, got {arity}")
         support = list(support)
         places = [u for u, _ in support]
         if len(set(places)) != len(places):
             raise ValueError("duplicate place in support")
         sizes = [jet_space_size(place_data(u), w) for u, w in support for _ in range(arity)]
-        if len(arr) != _prod(sizes):
-            raise ValueError(f"table needs {_prod(sizes)} entries, got {len(arr)}")
+        if len(arr) != prod(sizes):
+            raise ValueError(f"table needs {prod(sizes)} entries, got {len(arr)}")
         order = sorted(range(len(support)), key=lambda i: support[i][0].sort_key())
         if order != list(range(len(support))):
             # permute the table so it matches the canonical place order
@@ -288,20 +270,17 @@ class GlobalTestFunction(_Table):
     def window_at(self, u: Place) -> Window:
         return self.windows[self.places.index(u)]
 
+    def _shape(self) -> tuple:
+        return (self.places, self.windows, self.arity)
+
     def _ops(self):
         return ops_for(place_data(self.places[0]), self.mode)
 
     def _with_rows(self, support, idx) -> "GlobalTestFunction":
         """The table's rows at the flat positions idx, a -1 reading zero, as
         a function on the given support (canonical order)."""
-        arr = self._arr
-        if (idx < 0).any():
-            zero = np.zeros((1, arr.shape[1]), dtype=arr.dtype)
-            if self.mode != "exact":
-                zero[0, 0] = self._ops().zero()
-            arr = np.concatenate([arr, zero])
         return GlobalTestFunction._from_table(
-            self.field, support, self.arity, arr[idx], self._den, self.mode
+            self.field, support, self.arity, self._rows(idx), self._den, self.mode
         )
 
     # -- evaluation ----------------------------------------------------------------
@@ -332,39 +311,6 @@ class GlobalTestFunction(_Table):
                 per_place.append(jet_at(f, u, w))
             jets.append(per_place)
         return self.value_at_jets(jets)
-
-    def scaled(self, factor) -> "GlobalTestFunction":
-        return GlobalTestFunction(
-            self.field,
-            self.support(),
-            self.arity,
-            [v * factor for v in self.values],
-            self.mode,
-        )
-
-    def __add__(self, other: "GlobalTestFunction") -> "GlobalTestFunction":
-        if (
-            self.places != other.places
-            or self.windows != other.windows
-            or self.arity != other.arity
-            or self.mode != other.mode
-        ):
-            raise ValueError("incompatible global test functions")
-        return GlobalTestFunction(
-            self.field,
-            self.support(),
-            self.arity,
-            [a + b for a, b in zip(self.values, other.values)],
-            self.mode,
-        )
-
-    def table_equal(self, other: "GlobalTestFunction") -> bool:
-        return (
-            self.places == other.places
-            and self.windows == other.windows
-            and self.arity == other.arity
-            and all(a == b for a, b in zip(self.values, other.values))
-        )
 
     # -- serialization ---------------------------------------------------------------
 
@@ -459,32 +405,17 @@ def _reindex_places(phi: GlobalTestFunction, changes) -> GlobalTestFunction:
 def refine_place(phi: GlobalTestFunction, u: Place, new_M: int) -> GlobalTestFunction:
     """Deepen invariance at one place; pulls the table back."""
     i = phi.places.index(u)
-    w = phi.windows[i]
-    if new_M < w.M:
-        raise ValueError("refine cannot shrink the window")
-    if new_M == w.M:
+    if new_M == phi.windows[i].M:
         return phi
-    pd = place_data(u)
-    new_win = Window(w.N, new_M)
-    drop = pd.ku.q ** (new_M - w.M)
-    look = np.arange(jet_space_size(pd, new_win)) // drop
-    return _reindex_places(phi, {i: (new_win, look)})
+    return _reindex_places(phi, {i: _refine_lookup(place_data(u), phi.windows[i], new_M)})
 
 
 def extend_place(phi: GlobalTestFunction, u: Place, new_N: int) -> GlobalTestFunction:
     """Deepen the allowed pole at one place; extension by zero."""
     i = phi.places.index(u)
-    w = phi.windows[i]
-    if new_N < w.N:
-        raise ValueError("extend cannot shrink the window")
-    if new_N == w.N:
+    if new_N == phi.windows[i].N:
         return phi
-    pd = place_data(u)
-    new_win = Window(new_N, w.M)
-    # jets with a nonzero digit above the old pole depth read zero
-    look = np.arange(jet_space_size(pd, new_win))
-    look[look >= jet_space_size(pd, w)] = -1
-    return _reindex_places(phi, {i: (new_win, look)})
+    return _reindex_places(phi, {i: _extend_lookup(place_data(u), phi.windows[i], new_N)})
 
 
 def global_fourier(phi: GlobalTestFunction) -> GlobalTestFunction:
@@ -511,7 +442,7 @@ def global_fourier(phi: GlobalTestFunction) -> GlobalTestFunction:
     sizes = [jet_space_size(pd, w) for pd, w in axes]
     values = phi.values
     for axis, (pd, w) in enumerate(axes):
-        pre, post = _prod(sizes[:axis]), _prod(sizes[axis + 1 :])
+        pre, post = prod(sizes[:axis]), prod(sizes[axis + 1 :])
         values, _ = _generic_axis_transform(values, ops_for(pd, phi.mode), pd, w, pre, post)
     return GlobalTestFunction(phi.field, dual, phi.arity, values, phi.mode)
 
@@ -539,8 +470,10 @@ def translate(phi: GlobalTestFunction, a: RationalFn) -> GlobalTestFunction:
         pd = place_data(u)
         ajet = jet_at(a, u, w)
         if not ajet.is_zero():
-            D = jet_space_size(pd, w)
-            changes[i] = (w, [jet_to_index(index_to_jet(pd, w, x) + ajet) for x in range(D)])
+            # the index of x + a for every jet x, level by level
+            codes = np.array([c.code for c in ajet.coeffs], dtype=np.int64)
+            plus_a = _code_tables(pd)[1][_digit_matrix(pd.ku.q, w.levels), codes]
+            changes[i] = (w, _from_digits(plus_a.T, pd.ku.q))
     return _reindex_places(phi, changes)
 
 
@@ -696,7 +629,7 @@ def jet_counts(field, support, arity: int, max_enum: int = 1 << 20) -> np.ndarra
     for u, w in support:
         for lev_codes in _member_jet_codes(u, w, basis).T:
             cell = cell * place_data(u).ku.q + lev_codes
-    one = np.bincount(cell, minlength=_prod(sizes))
+    one = np.bincount(cell, minlength=prod(sizes))
     # the coordinates are independent members: an outer power, laid out
     # coordinate-major, then moved to the table's place-major axis order
     counts = one
@@ -767,7 +700,7 @@ def simple_coset_functions(field, places_list, max_window=Window(1, 1)):
     for combo in itertools.product(*per_place_choices):
         label = ",".join(f"{u!r}:{c[0]}" for u, c in zip(places_list, combo))
         # 1 on the product of the places' jet runs
-        arr = np.zeros((_prod(sizes), field.p), dtype=np.int64)
+        arr = np.zeros((prod(sizes), field.p), dtype=np.int64)
         runs = [range(first, first + count) for _, first, count in combo]
         arr[_lookup_index(sizes, runs), 0] = 1
         yield label, GlobalTestFunction._from_table(
@@ -881,10 +814,3 @@ def poisson_family(field, places_list, window=Window(1, 1), max_enum=1 << 20, ch
             )
         out.append((",".join(parts), *got))
     return out
-
-
-def _prod(xs):
-    n = 1
-    for x in xs:
-        n *= x
-    return n

@@ -26,9 +26,10 @@ take a direct double sum.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 import numpy as np
 
@@ -130,21 +131,29 @@ def jet_space_size(pd: PlaceData, window: Window) -> int:
     return pd.ku.q ** window.levels
 
 
-def jet_to_index(jet: JetVector) -> int:
-    q = jet.pd.ku.q
+def _to_digits(idx: int, Q: int, K: int) -> list[int]:
+    """idx written base Q with K digits, big-endian."""
+    digits = [0] * K
+    for pos in range(K - 1, -1, -1):
+        idx, digits[pos] = divmod(idx, Q)
+    return digits
+
+
+def _from_digits(digits, Q: int):
+    """The number whose base-Q digits, big-endian, are digits; digit
+    arrays give an array of numbers."""
     idx = 0
-    for c in jet.coeffs:
-        idx = idx * q + c.code
+    for digit in digits:
+        idx = idx * Q + digit
     return idx
 
 
+def jet_to_index(jet: JetVector) -> int:
+    return _from_digits([c.code for c in jet.coeffs], jet.pd.ku.q)
+
+
 def index_to_jet(pd: PlaceData, window: Window, idx: int) -> JetVector:
-    q = pd.ku.q
-    codes = []
-    for _ in range(window.levels):
-        codes.append(idx % q)
-        idx //= q
-    codes.reverse()
+    codes = _to_digits(idx, pd.ku.q, window.levels)
     return JetVector(pd, window, [pd.ku.from_code(c) for c in codes])
 
 
@@ -364,10 +373,59 @@ def _digit_matrix(Q: int, K: int) -> np.ndarray:
     digits = np.empty((D, K), dtype=np.int64)
     idx = np.arange(D)
     for pos in range(K - 1, -1, -1):
-        digits[:, pos] = idx % Q
-        idx //= Q
+        idx, digits[:, pos] = np.divmod(idx, Q)
     _DIGIT_CACHE[key] = digits
     return digits
+
+
+def _mixed_radix_index(sizes, axis_perm, new_sizes=None) -> np.ndarray:
+    """Flat positions in a row-major table with the given axis sizes, listed
+    in the row-major order of a new table whose axis i is old axis
+    axis_perm[i].  An axis_perm entry None is a new axis of size
+    new_sizes[i] that the table does not depend on; every old axis appears
+    exactly once."""
+    idx = np.arange(prod(sizes), dtype=np.int64).reshape(sizes)
+    idx = idx.transpose([a for a in axis_perm if a is not None])
+    if new_sizes is not None:
+        shape = [1 if a is None else sizes[a] for a in axis_perm]
+        idx = np.broadcast_to(idx.reshape(shape), new_sizes)
+    return idx.reshape(-1)
+
+
+def _lookup_index(sizes, lookups) -> np.ndarray:
+    """Flat positions in a row-major table with the given axis sizes, listed
+    in the row-major order of a new table whose axis k reads old position
+    lookups[k][a] at its index a; a lookup of -1, and every cell that reads
+    one, is -1."""
+    idx = np.zeros((), dtype=np.int64)
+    for size, look in zip(sizes, lookups):
+        look = np.asarray(look, dtype=np.int64)
+        cell = idx[..., None] * size + look
+        idx = np.where((idx[..., None] < 0) | (look < 0), -1, cell)
+    return idx.reshape(-1)
+
+
+# -- jet lookups: new jet index -> old jet index, -1 reading zero ---------------
+
+
+def _extend_lookup(pd: PlaceData, win: Window, new_N: int):
+    """(new window, lookup) of extension by zero to pole depth new_N: a jet
+    keeps its index while its new leading levels are zero, else reads -1."""
+    if new_N < win.N:
+        raise ValueError("extend cannot shrink the window")
+    new_win = Window(new_N, win.M)
+    look = np.arange(jet_space_size(pd, new_win))
+    look[look >= jet_space_size(pd, win)] = -1
+    return new_win, look
+
+
+def _refine_lookup(pd: PlaceData, win: Window, new_M: int):
+    """(new window, lookup) of the pull-back to invariance depth new_M: a
+    jet reads its truncation, its index without the new trailing digits."""
+    if new_M < win.M:
+        raise ValueError("refine cannot shrink the window")
+    new_win = Window(win.N, new_M)
+    return new_win, np.arange(jet_space_size(pd, new_win)) // pd.ku.q ** (new_M - win.M)
 
 
 def _values_to_int(values, p: int):
@@ -471,6 +529,46 @@ class _Table:
             return _int_to_values(self._arr[idx : idx + 1], self._den, self._p)[0]
         return self._arr[idx, 0]
 
+    def _shape(self) -> tuple:
+        """What two tables must share to be equal or to be added."""
+        raise NotImplementedError
+
+    def _like(self, arr, den: int):
+        """A table of this shape and mode with the layout (arr, den)."""
+        out = copy.copy(self)
+        out._set_table(arr, den, self._p, self.mode)
+        return out
+
+    def _rows(self, idx: np.ndarray):
+        """The rows at the flat positions idx, where -1 reads a zero row."""
+        arr = self._arr
+        if (idx < 0).any():
+            # numpy reads -1 as the last row, so -1 must find the zero there
+            zero = np.zeros((1, arr.shape[1]), dtype=arr.dtype)
+            if self.mode != "exact":
+                zero[0, 0] = self._ops().zero()
+            arr = np.concatenate([arr, zero])
+        return arr[idx]
+
+    def scaled(self, factor):
+        return self._like(*_table_of([v * factor for v in self.values], self._p, self.mode))
+
+    def __add__(self, other):
+        if (
+            type(other) is not type(self)
+            or other._shape() != self._shape()
+            or other.mode != self.mode
+            or other._arr.shape != self._arr.shape
+        ):
+            raise ValueError("incompatible test functions")
+        values = [a + b for a, b in zip(self.values, other.values)]
+        return self._like(*_table_of(values, self._p, self.mode))
+
+    def table_equal(self, other) -> bool:
+        return self._shape() == other._shape() and all(
+            a == b for a, b in zip(self.values, other.values)
+        )
+
 
 def _contract_levels(arr, pd: PlaceData, K: int):
     """The character transform over k_u on the K level axes that lead arr,
@@ -554,14 +652,7 @@ def _generic_axis_transform(values, ops, pd: PlaceData, win: Window, pre: int, p
     tr = pd.trace_to_base_codes
     mul_code, add_code = pd.ku.mul_code, pd.ku.add_code
     # psi(r(x y)) for jet index pairs, via the bilinear coefficient matrix
-    in_digits = []
-    for idx in range(D):
-        digs, k = [], idx
-        for _ in range(K):
-            digs.append(k % Q)
-            k //= Q
-        digs.reverse()
-        in_digits.append(digs)
+    in_digits = _digit_matrix(Q, K).tolist()
     kernel_exp = [[0] * D for _ in range(D)]
     for xi in range(D):
         xd = in_digits[xi]
@@ -606,6 +697,13 @@ def _check_transformable(pd: PlaceData, win: Window):
 # -- local test functions ---------------------------------------------------------
 
 
+def _cell_count(pd: PlaceData, window: Window, arity: int) -> int:
+    """The cells of a table on arity copies of the window's jet space."""
+    if arity < 1:
+        raise ValueError(f"arity must be at least 1, got {arity}")
+    return jet_space_size(pd, window) ** arity
+
+
 class LocalTestFunction(_Table):
     """Dense value table on (jet space)^arity at a single place.
 
@@ -613,7 +711,7 @@ class LocalTestFunction(_Table):
     """
 
     def __init__(self, pd: PlaceData, window: Window, arity: int, values, mode="exact"):
-        size = jet_space_size(pd, window) ** arity
+        size = _cell_count(pd, window, arity)
         values = list(values)
         if len(values) != size:
             raise ValueError(f"table needs {size} entries, got {len(values)}")
@@ -631,19 +729,22 @@ class LocalTestFunction(_Table):
         phi._set_table(arr, den, pd.base.p, mode)
         return phi
 
+    def _shape(self) -> tuple:
+        return (self.window, self.arity)
+
+    def _ops(self):
+        return ops_for(self.pd, self.mode)
+
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def from_function(cls, pd, window, fn, arity=1, mode="exact"):
         D = jet_space_size(pd, window)
-        vals = []
-        for idx in range(D**arity):
-            jets, k = [], idx
-            for _ in range(arity):
-                jets.append(k % D)
-                k //= D
-            jets.reverse()
-            vals.append(fn(*[index_to_jet(pd, window, j) for j in jets]))
+        jets = [index_to_jet(pd, window, j) for j in range(D)]
+        vals = [
+            fn(*[jets[j] for j in _to_digits(idx, D, arity)])
+            for idx in range(_cell_count(pd, window, arity))
+        ]
         return cls(pd, window, arity, vals, mode)
 
     @classmethod
@@ -664,6 +765,8 @@ class LocalTestFunction(_Table):
     @classmethod
     def delta(cls, pd, window, jet_index: int, mode="exact"):
         D = jet_space_size(pd, window)
+        if not 0 <= jet_index < D:
+            raise ValueError(f"delta jet index {jet_index} outside [0, {D})")
         if mode == "exact":
             arr = np.zeros((D, pd.base.p), dtype=np.int64)
             arr[jet_index, 0] = 1
@@ -676,49 +779,17 @@ class LocalTestFunction(_Table):
     @classmethod
     def zero_function(cls, pd, window, arity=1, mode="exact"):
         ops = ops_for(pd, mode)
-        D = jet_space_size(pd, window) ** arity
-        return cls(pd, window, arity, [ops.zero()] * D, mode)
+        return cls(pd, window, arity, [ops.zero()] * _cell_count(pd, window, arity), mode)
 
     # -- table access -----------------------------------------------------------
 
     def value_at(self, *jets: JetVector):
         if len(jets) != self.arity:
             raise ValueError("wrong number of coordinates")
-        idx = 0
+        if any(jet.window != self.window for jet in jets):
+            raise ValueError("jet window mismatch")
         D = jet_space_size(self.pd, self.window)
-        for jet in jets:
-            if jet.window != self.window:
-                raise ValueError("jet window mismatch")
-            idx = idx * D + jet_to_index(jet)
-        return self._value(idx)
-
-    def scaled(self, factor) -> "LocalTestFunction":
-        return LocalTestFunction(
-            self.pd, self.window, self.arity, [v * factor for v in self.values], self.mode
-        )
-
-    def __add__(self, other: "LocalTestFunction") -> "LocalTestFunction":
-        if (
-            other.pd is not self.pd
-            or other.window != self.window
-            or other.arity != self.arity
-            or other.mode != self.mode
-        ):
-            raise ValueError("incompatible test functions")
-        return LocalTestFunction(
-            self.pd,
-            self.window,
-            self.arity,
-            [a + b for a, b in zip(self.values, other.values)],
-            self.mode,
-        )
-
-    def table_equal(self, other: "LocalTestFunction") -> bool:
-        return (
-            self.window == other.window
-            and self.arity == other.arity
-            and all(a == b for a, b in zip(self.values, other.values))
-        )
+        return self._value(_from_digits([jet_to_index(jet) for jet in jets], D))
 
 
 def integrate(phi: LocalTestFunction):
@@ -730,64 +801,45 @@ def integrate(phi: LocalTestFunction):
     return ops.scale(acc, -phi.pd.d * phi.window.M * phi.arity)
 
 
+def _reindexed(phi: LocalTestFunction, window: Window, look) -> LocalTestFunction:
+    """phi moved to the window, reading old jet look[a] at jet a on every
+    coordinate axis; a look of -1 reads zero."""
+    D = jet_space_size(phi.pd, phi.window)
+    rows = phi._rows(_lookup_index([D] * phi.arity, [look] * phi.arity))
+    return LocalTestFunction._from_table(phi.pd, window, phi.arity, rows, phi._den, phi.mode)
+
+
 def extend_zero(phi: LocalTestFunction, new_N: int) -> LocalTestFunction:
     """Deepen the allowed pole; the function is extended by zero."""
-    if new_N < phi.window.N:
-        raise ValueError("extend_zero cannot shrink the window")
     if new_N == phi.window.N:
         return phi
-    ops = ops_for(phi.pd, phi.mode)
-    new_win = Window(new_N, phi.window.M)
-    extra = new_N - phi.window.N
-
-    def fn(*jets):
-        old_jets = []
-        for jet in jets:
-            for lev in range(-new_N, -phi.window.N):
-                if not jet.coeff(lev).is_zero():
-                    return ops.zero()
-            old_jets.append(
-                JetVector(phi.pd, phi.window, jet.coeffs[extra:])
-            )
-        return phi.value_at(*old_jets)
-
-    return LocalTestFunction.from_function(phi.pd, new_win, fn, phi.arity, phi.mode)
+    return _reindexed(phi, *_extend_lookup(phi.pd, phi.window, new_N))
 
 
 def refine(phi: LocalTestFunction, new_M: int) -> LocalTestFunction:
     """Deepen invariance; the table is pulled back along the projection."""
-    if new_M < phi.window.M:
-        raise ValueError("refine cannot shrink the window")
     if new_M == phi.window.M:
         return phi
-    new_win = Window(phi.window.N, new_M)
-
-    def fn(*jets):
-        old = [
-            JetVector(phi.pd, phi.window, jet.coeffs[: phi.window.levels])
-            for jet in jets
-        ]
-        return phi.value_at(*old)
-
-    return LocalTestFunction.from_function(phi.pd, new_win, fn, phi.arity, phi.mode)
+    return _reindexed(phi, *_refine_lookup(phi.pd, phi.window, new_M))
 
 
 def restrict(phi: LocalTestFunction, new_M: int) -> LocalTestFunction:
     """Partial inverse of refine: forget levels >= new_M (table must be
-    constant on the forgotten cosets for this to be faithful)."""
+    constant on the forgotten cosets for this to be faithful).  A jet reads
+    its lift with zero trailing levels."""
     if new_M > phi.window.M:
         raise ValueError("restrict cannot grow the window")
     new_win = Window(phi.window.N, new_M)
-    pad = phi.window.M - new_M
-    zero_tail = [phi.pd.ku.zero()] * pad
+    pad = phi.pd.ku.q ** (phi.window.M - new_M)
+    return _reindexed(phi, new_win, np.arange(jet_space_size(phi.pd, new_win)) * pad)
 
-    def fn(*jets):
-        lifted = [
-            JetVector(phi.pd, phi.window, jet.coeffs + tuple(zero_tail)) for jet in jets
-        ]
-        return phi.value_at(*lifted)
 
-    return LocalTestFunction.from_function(phi.pd, new_win, fn, phi.arity, phi.mode)
+def flip(phi: LocalTestFunction) -> LocalTestFunction:
+    """x -> phi(-x) on every coordinate, through the negation code table."""
+    pd, Q = phi.pd, phi.pd.ku.q
+    neg = np.array([pd.ku.neg_code(c) for c in range(Q)], dtype=np.int64)
+    negated = neg[_digit_matrix(Q, phi.window.levels)]
+    return _reindexed(phi, phi.window, _from_digits(negated.T, Q))
 
 
 def fourier1(phi: LocalTestFunction) -> LocalTestFunction:

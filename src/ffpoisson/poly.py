@@ -250,13 +250,8 @@ def monic_polys(field: FieldDescriptor, degree: int) -> Iterator[Poly]:
 
 
 @lru_cache(maxsize=None)
-def _monic_irreducibles_cached(field_key, degree: int) -> tuple[Poly, ...]:
-    field = field_key
-    return tuple(f for f in monic_polys(field, degree) if f.is_irreducible())
-
-
 def monic_irreducibles(field: FieldDescriptor, degree: int) -> tuple[Poly, ...]:
-    return _monic_irreducibles_cached(field, degree)
+    return tuple(f for f in monic_polys(field, degree) if f.is_irreducible())
 
 
 class RationalFn:

@@ -480,50 +480,6 @@ class FieldElem:
         return f"{self.coeffs()}@F{self.field.q}"
 
 
-def _monic_polys(p: int, deg: int) -> Iterator[tuple[int, ...]]:
-    """Monic degree-deg coefficient tuples over F_p, smallest code first."""
-    for code in range(p**deg):
-        low = []
-        c = code
-        for _ in range(deg):
-            low.append(c % p)
-            c //= p
-        yield tuple(low) + (1,)
-
-
-@lru_cache(maxsize=None)
-def _irreducibles(p: int, deg: int) -> tuple[tuple[int, ...], ...]:
-    out = []
-    for cand in _monic_polys(p, deg):
-        if _poly_irreducible(p, cand):
-            out.append(cand)
-    return tuple(out)
-
-
-def _poly_divides(p: int, d: tuple[int, ...], a: tuple[int, ...]) -> bool:
-    a = list(a)
-    dd = len(d) - 1
-    for k in range(len(a) - 1, dd - 1, -1):
-        c = a[k]
-        if c:
-            for i in range(dd + 1):
-                a[k - dd + i] = (a[k - dd + i] - c * d[i]) % p
-    return not any(a[:dd])
-
-
-def _poly_irreducible(p: int, f: tuple[int, ...]) -> bool:
-    deg = len(f) - 1
-    if deg == 1:
-        return True
-    if f[0] == 0:
-        return False
-    for d in range(1, deg // 2 + 1):
-        for g in _irreducibles(p, d):
-            if _poly_divides(p, g, f):
-                return False
-    return True
-
-
 @lru_cache(maxsize=None)
 def make_field(p: int, e: int = 1) -> FieldDescriptor:
     """Build (and cache) F_{p^e} with the canonical smallest modulus."""
@@ -534,13 +490,9 @@ def make_field(p: int, e: int = 1) -> FieldDescriptor:
     if e == 1:
         modulus = (0, 1)  # X itself; unused for e=1 arithmetic
     else:
-        modulus = None
-        for cand in _monic_polys(p, e):
-            if _poly_irreducible(p, cand):
-                modulus = cand
-                break
-        if modulus is None:
-            raise RuntimeError("no irreducible modulus found; internal error")
+        from .poly import monic_polys  # poly imports this module
+
+        modulus = next(f.coeffs for f in monic_polys(make_field(p), e) if f.is_irreducible())
     return FieldDescriptor(p, e, modulus)
 
 

@@ -276,6 +276,7 @@ def test_poisson_input_file_roundtrip(tmp_path):
         (lambda d: d["places"][0].update(poly="t"), "'poly' must be"),
         (lambda d: d.update(table=[[[1, 0]]] * 4), "table[0]"),
         (lambda d: d.update(table=[[1]] * 4), "table[0]"),
+        (lambda d: d.update(arity=0, table=[[[1, 1]]]), "arity must be at least 1"),
     ],
 )
 def test_poisson_input_schema_errors_exit_2(tmp_path, capsys, edit, message):
@@ -357,6 +358,67 @@ def test_local_input_schema_errors_exit_2(tmp_path, capsys):
     path.write_text(json.dumps({"q": 3, "d": 1, "nu": 0, "window": [1], "arity": 1}))
     assert main(["local-fourier", "--p", "3", "--in", str(path)]) == 2
     assert "'window' must be" in capsys.readouterr().err
+
+
+def test_local_input_arity_below_one_exits_2(tmp_path, capsys):
+    # a table of arity 0 has one cell, which the file can supply
+    data = {"q": 2, "d": 1, "nu": 0, "window": [1, 1], "arity": 0, "table": [[[1, 1]]]}
+    path = tmp_path / "fn.json"
+    path.write_text(json.dumps(data))
+    assert main(["local-fourier", "--in", str(path), "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "arity must be at least 1" in err
+
+
+@pytest.mark.parametrize(
+    "extra,message",
+    [
+        (["--delta", "99"], "delta jet index 99 outside [0, 4)"),
+        (["--delta", "-1"], "delta jet index -1 outside [0, 4)"),
+        (["--arity", "-1"], "arity must be at least 1, got -1"),
+        (["--arity", "0"], "arity must be at least 1, got 0"),
+        (["--delta", "1", "--arity", "2"], "--arity must be 1"),
+    ],
+)
+def test_local_fourier_rejects_parameters_it_cannot_honour(tmp_path, capsys, extra, message):
+    out = tmp_path / "r.json"
+    argv = ["local-fourier", "--p", "2", "--d", "1", "--nu", "0", "--window", "1,1"]
+    assert main(argv + extra + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cell", [None, 0, -1])
+@pytest.mark.parametrize(
+    "function",
+    [["--arity", "2"], ["--delta", "1"]],  # an even function, and one with phi(-x) != phi(x)
+)
+def test_local_fourier_inversion_check_at_p3(tmp_path, monkeypatch, function, cell):
+    # the check reads the double transform: one corrupt cell of it must
+    # turn the verdict
+    from ffpoisson import localfield
+    from ffpoisson.scalars import CycScalar
+
+    transform = localfield.fourier_multi
+    outputs = []
+
+    def second_corrupt(phi):
+        out = transform(phi)
+        outputs.append(out)
+        if len(outputs) < 2 or cell is None:
+            return out
+        values = list(out.values)
+        values[cell] = values[cell] + CycScalar.one(3)
+        return localfield.LocalTestFunction(out.pd, out.window, out.arity, values)
+
+    monkeypatch.setattr(localfield, "fourier_multi", second_corrupt)
+    argv = ["local-fourier", "--p", "3", "--window", "1,1", "--check-inversion"]
+    code, text = run_cli(argv + function, tmp_path)
+    assert len(outputs) == 2
+    report = json.loads(text)
+    assert report["inversion_exact"] is (cell is None)
+    assert code == (0 if cell is None else 1)
 
 
 IMPORT_PROBE = """

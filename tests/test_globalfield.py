@@ -17,7 +17,6 @@ from ffpoisson.globalfield import (
     extend_place,
     global_fourier,
     indicator_everywhere_integral,
-    _mixed_radix_index,
     _poisson_functionals,
     jet_at,
     jet_counts,
@@ -31,7 +30,13 @@ from ffpoisson.globalfield import (
     simple_coset_functions,
     translate,
 )
-from ffpoisson.localfield import Window, index_to_jet, jet_space_size, jet_to_index
+from ffpoisson.localfield import (
+    Window,
+    _mixed_radix_index,
+    index_to_jet,
+    jet_space_size,
+    jet_to_index,
+)
 from ffpoisson.place import Place, place_data, places_up_to
 from ffpoisson.poly import Poly, RationalFn
 from ffpoisson.scalars import CycScalar, cyc_normalize, make_field
@@ -438,6 +443,47 @@ def test_translate_twice_returns():
         if double.window_at(u).N > widened.window_at(u).N:
             widened = extend_place(widened, u, double.window_at(u).N)
     assert double.table_equal(widened)
+
+
+def test_extend_and_refine_place_read_the_old_cells():
+    # infinity (4 jets at window (1,1)) is the outer axis, PI2 (16 jets)
+    # the inner one
+    rng = random.Random(12)
+    vals = [CycScalar.rational(2, rng.randrange(1, 9)) for _ in range(64)]
+    phi = GlobalTestFunction(F2, [(INF2, Window(1, 1)), (PI2, Window(1, 1))], 1, vals)
+    # a new leading level at PI2: the jets with a nonzero one read zero
+    ext = extend_place(phi, PI2, 2)
+    assert ext.windows == (Window(1, 1), Window(2, 1))
+    zero = CycScalar.zero(2)
+    assert ext.values == [vals[i * 16 + j] if j < 16 else zero for i in range(4) for j in range(64)]
+    # two new trailing levels at infinity: a jet reads its truncation
+    ref = refine_place(phi, INF2, 3)
+    assert ref.windows == (Window(1, 3), Window(1, 1))
+    assert ref.values == [vals[(i // 4) * 16 + j] for i in range(16) for j in range(16)]
+
+
+@pytest.mark.parametrize("field,pi", [(F2, (1, 1, 1)), (F3, (1, 0, 1))])
+def test_translate_matches_the_per_jet_sum(field, pi):
+    # at a degree-2 place and at infinity, each cell x reads phi(x + a),
+    # with x + a summed jet by jet
+    u = Place.finite(Poly(field, pi))
+    support = [(u, Window(1, 1)), (Place.infinity(field), Window(1, 1))]
+    sizes = [jet_space_size(place_data(v), w) for v, w in support]
+    rng = random.Random(field.q)
+    vals = [CycScalar.rational(field.p, rng.randrange(-9, 10)) for _ in range(sizes[0] * sizes[1])]
+    phi = GlobalTestFunction(field, support, 1, vals)
+    a = RationalFn.t(field) + RationalFn(Poly.one(field), u.poly)  # a pole at both places
+    shifted = []
+    for v, w in phi.support():
+        pd, ajet = place_data(v), jet_at(a, v, w)
+        assert not ajet.is_zero()
+        shifted.append(
+            [jet_to_index(index_to_jet(pd, w, x) + ajet) for x in range(jet_space_size(pd, w))]
+        )
+    out = translate(phi, a)
+    assert out.support() == phi.support()
+    D = len(shifted[1])
+    assert out.values == [phi.values[i * D + j] for i in shifted[0] for j in shifted[1]]
 
 
 def test_translate_invariance_of_transformed_sum():

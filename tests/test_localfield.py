@@ -253,6 +253,141 @@ def test_window_shrink_rejected():
         refine(phi, 0)
 
 
+# The per-cell definitions of the level moves: each builds every jet of the
+# new window and reads phi at the jet it maps to.
+
+
+def _extend_zero_by_cells(phi, new_N):
+    ops = ops_for(phi.pd, phi.mode)
+    extra = new_N - phi.window.N
+
+    def fn(*jets):
+        old_jets = []
+        for jet in jets:
+            for lev in range(-new_N, -phi.window.N):
+                if not jet.coeff(lev).is_zero():
+                    return ops.zero()
+            old_jets.append(JetVector(phi.pd, phi.window, jet.coeffs[extra:]))
+        return phi.value_at(*old_jets)
+
+    new_win = Window(new_N, phi.window.M)
+    return LocalTestFunction.from_function(phi.pd, new_win, fn, phi.arity, phi.mode)
+
+
+def _refine_by_cells(phi, new_M):
+    def fn(*jets):
+        old = [JetVector(phi.pd, phi.window, jet.coeffs[: phi.window.levels]) for jet in jets]
+        return phi.value_at(*old)
+
+    new_win = Window(phi.window.N, new_M)
+    return LocalTestFunction.from_function(phi.pd, new_win, fn, phi.arity, phi.mode)
+
+
+def _restrict_by_cells(phi, new_M):
+    zero_tail = (phi.pd.ku.zero(),) * (phi.window.M - new_M)
+
+    def fn(*jets):
+        lifted = [JetVector(phi.pd, phi.window, jet.coeffs + zero_tail) for jet in jets]
+        return phi.value_at(*lifted)
+
+    new_win = Window(phi.window.N, new_M)
+    return LocalTestFunction.from_function(phi.pd, new_win, fn, phi.arity, phi.mode)
+
+
+def _random_table(pd, win, arity, mode, seed):
+    """Random values, a quarter of them zero but never the last, which a
+    -1 read as the last row would find; symbolic ones are shifted point
+    classes."""
+    rng = random.Random(seed)
+    ops = ops_for(pd, mode)
+    size = jet_space_size(pd, win) ** arity
+    p = pd.base.p
+    if mode == "exact":
+        vals = [
+            CycScalar(p, [Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)) for _ in range(p - 1)])
+            for _ in range(size)
+        ]
+    else:
+        vals = [
+            ops.psi_base(rng.randrange(pd.base.q)).shift_L(rng.randrange(-1, 2))
+            for _ in range(size)
+        ]
+    for k in rng.sample(range(size - 1), size // 4):
+        vals[k] = ops.zero()
+    return LocalTestFunction(pd, win, arity, vals, mode)
+
+
+def _entries(phi):
+    """The table's entries, comparable: a MotivicClass compares by identity,
+    so a symbolic entry is read as its presentation."""
+    if phi.mode == "exact":
+        return phi.values
+    return [(v.terms, v.lshift) for v in phi.values]
+
+
+def _same_table(a, b):
+    return a.window == b.window and a.arity == b.arity and _entries(a) == _entries(b)
+
+
+@pytest.mark.parametrize("mode", ["exact", "symbolic"])
+@pytest.mark.parametrize("arity", [1, 2])
+@pytest.mark.parametrize("p,d,win,steps", [(2, 1, Window(1, 1), 2), (3, 2, Window(0, 1), 1)])
+def test_level_moves_match_the_per_cell_oracles(p, d, win, steps, arity, mode):
+    pd = synth(make_field(p), d)
+    phi = _random_table(pd, win, arity, mode, seed=p + 10 * arity)
+    assert _same_table(extend_zero(phi, win.N + steps), _extend_zero_by_cells(phi, win.N + steps))
+    assert _same_table(refine(phi, win.M + steps), _refine_by_cells(phi, win.M + steps))
+    # a table that is not constant on the forgotten cosets: restrict still
+    # reads the lift with zero trailing levels
+    deep = _random_table(pd, Window(win.N, win.M + steps), arity, mode, seed=p + 20 * arity)
+    assert _same_table(restrict(deep, win.M), _restrict_by_cells(deep, win.M))
+    assert _same_table(restrict(refine(phi, win.M + steps), win.M), phi)
+
+
+@pytest.mark.parametrize("d,arity", [(1, 1), (1, 2), (2, 1)])
+def test_flip_matches_negated_jets(d, arity):
+    pd = synth(F3, d)
+    win = Window(1, 1)
+    phi = _random_table(pd, win, arity, "exact", seed=7 * d + arity)
+    D = jet_space_size(pd, win)
+    neg = [_flip_index(pd, win, j) for j in range(D)]
+    want = [phi.values[neg[i]] for i in range(D)]
+    if arity == 2:
+        want = [phi.values[neg[i] * D + neg[j]] for i in range(D) for j in range(D)]
+    got = localfield.flip(phi)
+    assert got.window == win and got.values == want
+    assert not got.table_equal(phi)  # at p = 3, -x != x
+
+
+def test_table_arithmetic_is_shared_by_every_table_class():
+    from ffpoisson.cyclic_algebra import AlgebraDescriptor, AlgebraTestFunction
+
+    pd = synth(F3)
+    phi = _random_table(pd, Window(1, 1), 2, "exact", seed=1)
+    psi = _random_table(pd, Window(1, 1), 2, "exact", seed=2)
+    half = CycScalar.rational(3, Fraction(1, 2))
+    assert (phi + psi).values == [a + b for a, b in zip(phi.values, psi.values)]
+    assert phi.scaled(half).values == [a * half for a in phi.values]
+    assert (phi + psi).window == phi.window and (phi + psi).arity == 2
+    # the shape key compares windows and arity, not the place data object
+    assert phi.table_equal(LocalTestFunction(synth(F3), Window(1, 1), 2, phi.values))
+    for other in (
+        _random_table(pd, Window(0, 2), 2, "exact", seed=3),  # as many cells
+        _random_table(synth(F3, 2), Window(0, 1), 2, "exact", seed=3),  # as many cells
+        _random_table(synth(F2), Window(1, 1), 2, "exact", seed=3),  # the same window
+    ):
+        with pytest.raises(ValueError):
+            phi + other
+    desc = AlgebraDescriptor(F2, 3, 1)
+    vals = [CycScalar.rational(2, k % 5) for k in range(64)]
+    alg = AlgebraTestFunction(desc, 0, 2, vals)
+    half = CycScalar.rational(2, Fraction(1, 2))
+    assert (alg + alg.scaled(half)).values == [v + v * half for v in vals]
+    assert not alg.table_equal(AlgebraTestFunction(desc, 1, 3, vals))
+    with pytest.raises(ValueError):
+        alg + phi
+
+
 # -- Fourier transforms ------------------------------------------------------------
 
 

@@ -333,3 +333,18 @@ def test_trace_table_needs_no_dense_tables():
     F.trace_table(1)
     F.power_table(2)
     assert F._log is not None and F._mul_table is None
+
+
+def test_extension_moduli_are_pinned():
+    # make_field takes the first irreducible in code order; every report's
+    # bytes depend on the moduli it finds
+    want = {
+        (2, 2): (1, 1, 1),
+        (2, 3): (1, 1, 0, 1),
+        (2, 9): (1, 1, 0, 0, 0, 0, 0, 0, 0, 1),
+        (2, 13): (1, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+        (3, 2): (1, 0, 1),
+        (3, 6): (2, 1, 0, 0, 0, 0, 1),
+        (5, 2): (2, 0, 1),
+    }
+    assert {pe: make_field(*pe).modulus for pe in want} == want
