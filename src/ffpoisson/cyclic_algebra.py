@@ -34,7 +34,7 @@ from .localfield import (
     _to_digits,
     _values_to_int,
 )
-from .place import Place, PlaceData, coordinate_tables, place_data
+from .place import Place, PlaceData, place_data
 from .poly import Poly, RationalFn
 from .scalars import (
     CycScalar,
@@ -67,11 +67,9 @@ class AlgebraDescriptor:
         gamma = self.L.gen()
         self.d_basis = [gamma**j for j in range(n)]
         # g^i as code tables on L
-        self._gpow = []
-        for i in range(n):
-            power = base.q ** ((self.a * i) % n)
-            self._gpow.append([self.L.pow_code(c, power) for c in range(self.L.q)])
-        self._coords, self._uncoords = coordinate_tables(base, self.L, self.d_basis)
+        self._gpow = [self.L.power_table(base.q ** (self.a * i % n)) for i in range(n)]
+        # packed F_q-coordinates sum_j c_j q^j on the d-basis, and back
+        self._coords, self._from_coords = self.L.coordinates(base, self.d_basis)
         # structure constants: d_j * g^i(d_l) = sum_m SC[i][j][l][m] d_m
         self._sc = [
             [
@@ -94,10 +92,7 @@ class AlgebraDescriptor:
 
     def coords(self, z: FieldElem) -> tuple[int, ...]:
         """F_q-codes of z on the d-basis."""
-        return self._coords[z.code]
-
-    def from_coords(self, vec) -> FieldElem:
-        return self.L.from_code(self._uncoords[tuple(vec)])
+        return tuple(reversed(_to_digits(self._coords[z.code], self.base.q, self.n)))
 
     def gpow(self, i: int, code: int) -> int:
         return self._gpow[i % self.n][code]
@@ -486,8 +481,8 @@ def element_to_jet(x: AlgebraElement, lo: int, hi: int) -> AlgebraJet:
             k = n * m + i
             if not lo <= k < hi:
                 continue
-            vec = tuple(s.at(m).code for s in series)
-            codes[k - lo] = desc._uncoords[vec]
+            packed = _from_digits([s.at(m).code for s in reversed(series)], desc.base.q)
+            codes[k - lo] = desc._from_coords[packed]
     return AlgebraJet(desc, lo, hi, codes)
 
 
@@ -577,8 +572,7 @@ def _charpoly_coeffs(desc: AlgebraDescriptor, M: int, digits: np.ndarray) -> np.
     characteristic polynomial is (-1)^k times the sum of the principal
     k x k minors, each expanded by Leibniz over L[t]/t^M; a term with M or
     more factors below the diagonal is divisible by t^M and dropped."""
-    n, q = desc.n, desc.base.q
-    L = desc.L
+    n, L = desc.n, desc.L
     ops = desc._lops
     if ops is None:
         ops = desc._lops = _LCodeOps(L)
@@ -607,10 +601,8 @@ def _charpoly_coeffs(desc: AlgebraDescriptor, M: int, digits: np.ndarray) -> np.
                     term = ops.neg(term)
                 total = ops.add(total, term)
         coeffs[:, n - k] = total
-    # descend every coefficient to F_q through one section table
-    section = np.full(L.q, -1, dtype=np.int64)
-    section[L._embedding_table(desc.base)] = np.arange(q)
-    down = section[coeffs]
+    # descend every coefficient to F_q through the section table
+    down = np.asarray(L._section_table(desc.base), dtype=np.int64)[coeffs]
     if (down < 0).any():
         raise RuntimeError(
             "reduced characteristic polynomial fails Galois descent; internal fault"

@@ -157,29 +157,6 @@ def index_to_jet(pd: PlaceData, window: Window, idx: int) -> JetVector:
     return JetVector(pd, window, [pd.ku.from_code(c) for c in codes])
 
 
-def alpha_encode(pd: PlaceData, window: Window, coeffs) -> JetVector:
-    """Assemble a jet from d(N+M) base-field coefficients, d per level."""
-    d = pd.d
-    coeffs = [pd.base.elem(c) for c in coeffs]
-    if len(coeffs) != d * window.levels:
-        raise ValueError(
-            f"need {d * window.levels} base-field coefficients, got {len(coeffs)}"
-        )
-    out = []
-    for lev in range(window.levels):
-        vec = tuple(c.code for c in coeffs[lev * d : (lev + 1) * d])
-        out.append(pd.from_coords(vec))
-    return JetVector(pd, window, out)
-
-
-def alpha_decode(jet: JetVector) -> list[FieldElem]:
-    base = jet.pd.base
-    out = []
-    for c in jet.coeffs:
-        out.extend(base.from_code(code) for code in jet.pd.coords(c))
-    return out
-
-
 # -- residues -----------------------------------------------------------------
 
 

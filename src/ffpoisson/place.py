@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from . import linalg
 from .poly import Poly, RationalFn, monic_irreducibles
 from .scalars import FieldDescriptor, FieldElem, make_field
 
@@ -207,25 +206,6 @@ class Series:
 # ---------------------------------------------------------------------------
 
 
-def coordinate_tables(base: FieldDescriptor, big: FieldDescriptor, basis):
-    """F_q-coordinates on a basis of an extension big of base = F_q:
-    (fwd, rev) with fwd[z.code] the base codes (c_0, .., c_{d-1}) such that
-    z = sum_i embed(c_i) basis_i, and rev the inverse map.  One linear
-    system over F_p is solved per element of big."""
-    p, e, d = base.p, base.e, len(basis)
-    fp = make_field(p, 1)
-    cols = [(b * big.embed(base.gen() ** l)).coeffs() for b in basis for l in range(e)]
-    matrix = [[fp.from_code(cols[c][r]) for c in range(d * e)] for r in range(d * e)]
-    fwd: dict[int, tuple[int, ...]] = {}
-    rev: dict[tuple[int, ...], int] = {}
-    for z in big.elements():
-        sol = linalg.solve(matrix, [fp.from_code(c) for c in z.coeffs()])
-        vec = tuple(base.code_of([sol[i * e + l].code for l in range(e)]) for i in range(d))
-        fwd[z.code] = vec
-        rev[vec] = z.code
-    return fwd, rev
-
-
 class PlaceData:
     """Everything one place contributes to local analysis.
 
@@ -251,8 +231,6 @@ class PlaceData:
         self.theta: FieldElem | None = None
         self._t_series: Series | None = None
         self._omega: Series | None = None
-        self._coord_cache: dict[int, tuple[int, ...]] | None = None
-        self._uncoord_cache: dict[tuple[int, ...], int] | None = None
 
     # -- constructors ---------------------------------------------------------
 
@@ -345,24 +323,6 @@ class PlaceData:
         if out.hi < hi:
             raise RuntimeError("internal precision shortfall in expansion")
         return out.truncate(hi)
-
-    # -- residue-field coordinates over F_q --------------------------------------
-
-    def coords(self, z: FieldElem) -> tuple[int, ...]:
-        """F_q-codes (c_0..c_{d-1}) with z = sum embed(c_i) * theta^i."""
-        if self._coord_cache is None:
-            self._build_coord_tables()
-        return self._coord_cache[z.code]
-
-    def from_coords(self, vec) -> FieldElem:
-        if self._uncoord_cache is None:
-            self._build_coord_tables()
-        return self.ku.from_code(self._uncoord_cache[tuple(vec)])
-
-    def _build_coord_tables(self):
-        theta = self.theta if self.theta is not None else self.ku.gen()
-        basis = [theta**i for i in range(self.d)]
-        self._coord_cache, self._uncoord_cache = coordinate_tables(self.base, self.ku, basis)
 
     # -- residue-field maps used by pairings -------------------------------------
 

@@ -79,6 +79,15 @@ def _linear_table(p: int, images: Sequence[int], e_out: int) -> list[int]:
     return out
 
 
+def _inverse_table(table: Sequence[int], size: int) -> list[int]:
+    """The inverse of an injective code table, as a table over the codes
+    below size: -1 at every code outside the image."""
+    out = [-1] * size
+    for c, image in enumerate(table):
+        out[image] = c
+    return out
+
+
 class FieldDescriptor:
     """The finite field F_{p^e} with a fixed monic irreducible modulus.
 
@@ -94,7 +103,7 @@ class FieldDescriptor:
         self.modulus = modulus
         # exp[k] = g^k for the smallest-code primitive element g, stored for
         # 0 <= k < 2(q-1) so that a sum of two logs indexes it directly;
-        # log[a] is the exponent of a != 0 (log[0] is unused); for odd p,
+        # log[a] is the exponent of a != 0 (log[0] is -1, unused); for odd p,
         # zech[k] = log(1 + g^k), None where 1 + g^k = 0.
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
@@ -106,7 +115,7 @@ class FieldDescriptor:
         self._traces: dict[int, list[int]] = {}
         self._powers: dict[int, list[int]] = {}
         self._embeddings: dict[tuple[int, int], list[int]] = {}
-        self._sections: dict[tuple[int, int], dict[int, int]] = {}
+        self._sections: dict[tuple[int, int], list[int]] = {}
 
     # -- encoding ----------------------------------------------------------
 
@@ -184,9 +193,7 @@ class FieldDescriptor:
                 failed[x] = 1
         else:
             raise RuntimeError("no primitive element; modulus not irreducible")
-        log = [0] * q
-        for k, a in enumerate(exp):
-            log[a] = k
+        log = _inverse_table(exp, q)
         neg = [0]
         for _ in range(e):
             neg = [(-lo) % p + p * hi for hi in neg for lo in range(p)]
@@ -359,41 +366,37 @@ class FieldDescriptor:
         """Images of all sub-elements, fixed once per tower.
 
         The generator of the subfield maps to the smallest-code root of the
-        subfield modulus here; everything else follows by ring structure.
+        subfield modulus here; the embedding is F_p-linear, so one table
+        follows from the images of its powers.
         """
         key = (sub.p, sub.e)
-        if key in self._embeddings:
-            return self._embeddings[key]
+        table = self._embeddings.get(key)
+        if table is not None:
+            return table
         if sub.p != self.p or self.e % sub.e != 0:
             raise ValueError(f"F_{sub.q} does not embed in F_{self.q}")
-        if sub.e == self.e and sub.modulus == self.modulus:
-            table = list(range(self.q))
-            self._embeddings[key] = table
-            return table
-        if sub.e == 1:  # F_p is the constant codes
-            table = list(range(sub.q))
-            self._embeddings[key] = table
-            self._sections[key] = {code: code for code in table}
-            return table
-        root = None
-        for c in range(self.q):
-            # evaluate sub.modulus at the candidate code
-            acc = 0
-            for coef in reversed(sub.modulus):
-                acc = self.add_code(self.mul_code(acc, c), coef % self.p)
-            if acc == 0:
-                root = c
-                break
-        if root is None:
-            raise RuntimeError("no root of subfield modulus; tower corrupt")
-        table = [0] * sub.q
-        for code in range(sub.q):
-            img = 0
-            for coef in reversed(sub.coeffs_of(code)):
-                img = self.add_code(self.mul_code(img, root), coef)
-            table[code] = img
-        self._embeddings[key] = table
-        self._sections[key] = {img: code for code, img in enumerate(table)}
+        images = [1]  # F_p is the constant codes
+        if sub.e > 1:
+            for root in range(self.q):
+                # evaluate sub.modulus at the candidate code
+                acc = 0
+                for coef in reversed(sub.modulus):
+                    acc = self.add_code(self.mul_code(acc, root), coef % self.p)
+                if acc == 0:
+                    break
+            else:
+                raise RuntimeError("no root of subfield modulus; tower corrupt")
+            images = [self.pow_code(root, i) for i in range(sub.e)]
+        table = self._embeddings[key] = _linear_table(self.p, images, self.e)
+        return table
+
+    def _section_table(self, sub: "FieldDescriptor") -> list[int]:
+        """The sub-code of every code in the image of the embedding, -1
+        elsewhere; built on first use."""
+        key = (sub.p, sub.e)
+        table = self._sections.get(key)
+        if table is None:
+            table = self._sections[key] = _inverse_table(self._embedding_table(sub), self.q)
         return table
 
     def embed(self, x: "FieldElem") -> "FieldElem":
@@ -402,14 +405,27 @@ class FieldDescriptor:
 
     def section(self, x: "FieldElem", sub: "FieldDescriptor") -> "FieldElem":
         """Inverse of embed on its image; x must lie in the subfield."""
-        self._embedding_table(sub)
-        sec = self._sections.get((sub.p, sub.e))
-        if sec is None:  # identity embedding
-            return FieldElem(sub, x.code)
-        code = sec.get(x.code)
-        if code is None:
+        code = self._section_table(sub)[x.code]
+        if code < 0:
             raise ValueError("element does not lie in the requested subfield")
         return FieldElem(sub, code)
+
+    def coordinates(
+        self, sub: "FieldDescriptor", basis: Sequence["FieldElem"]
+    ) -> tuple[list[int], list[int]]:
+        """F_q-coordinates on a basis of this field over its subfield
+        sub = F_q, as (coords, from_coords): from_coords[sum_i c_i q^i] is
+        the code of sum_i embed(c_i) basis_i for sub-codes c_i, and
+        coords[z.code] the packed coordinates of z.  The map is F_p-linear,
+        so from_coords is one linear table and coords its inverse."""
+        if len(basis) * sub.e != self.e:
+            raise ValueError(f"a basis over F_{sub.q} has {self.e // sub.e} elements")
+        powers = [self.embed(sub.gen() ** l) for l in range(sub.e)]
+        from_coords = _linear_table(self.p, [(b * x).code for b in basis for x in powers], self.e)
+        coords = _inverse_table(from_coords, self.q)
+        if -1 in coords:
+            raise ValueError("the list is not a basis over the subfield")
+        return coords, from_coords
 
     def __repr__(self):
         return f"F_{self.q}"

@@ -14,8 +14,6 @@ from ffpoisson.localfield import (
     _int_to_values,
     _table_of,
     _transform_table,
-    alpha_decode,
-    alpha_encode,
     extend_zero,
     fourier1,
     fourier_multi,
@@ -99,43 +97,17 @@ def fourier_direct(phi: LocalTestFunction) -> LocalTestFunction:
     return LocalTestFunction(pd, win.dual(pd.nu), phi.arity, out)
 
 
-# -- jets and the coefficient isomorphism -------------------------------------
+# -- jets and their indices ---------------------------------------------------
 
 
-def test_alpha_zero_jet():
-    pd = synth(F2)
-    jet = alpha_encode(pd, Window(1, 1), [0, 0])
-    assert jet.is_zero()
-
-
-def test_alpha_window_count():
+def test_jet_space_size_and_index_roundtrip():
     pd = synth(F2)
     assert jet_space_size(pd, Window(1, 1)) == 4
     pd2 = place_data(Place.finite(Poly(F2, (1, 1, 1))))
     assert jet_space_size(pd2, Window(1, 1)) == 16
-
-
-def test_alpha_roundtrip_exhaustive():
-    pd = synth(F3)
-    win = Window(2, 2)
-    for idx in range(jet_space_size(pd, win)):
-        jet = index_to_jet(pd, win, idx)
-        assert alpha_encode(pd, win, alpha_decode(jet)) == jet
-        assert jet_to_index(jet) == idx
-
-
-def test_alpha_roundtrip_degree_two_place():
-    pd = place_data(Place.finite(Poly(F2, (1, 1, 1))))
-    win = Window(1, 1)
-    for idx in range(jet_space_size(pd, win)):
-        jet = index_to_jet(pd, win, idx)
-        assert alpha_encode(pd, win, alpha_decode(jet)) == jet
-
-
-def test_alpha_length_mismatch():
-    pd = synth(F2)
-    with pytest.raises(ValueError):
-        alpha_encode(pd, Window(1, 1), [0, 0, 0])
+    pd3, win = synth(F3), Window(2, 2)
+    size = jet_space_size(pd3, win)
+    assert [jet_to_index(index_to_jet(pd3, win, idx)) for idx in range(size)] == list(range(size))
 
 
 # -- residues ------------------------------------------------------------------

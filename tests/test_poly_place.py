@@ -98,12 +98,6 @@ def test_omega_is_unit_at_finite_places():
     assert pd_inf.nu == 2
 
 
-def test_residue_field_coordinates_roundtrip():
-    pd = place_data(Place.finite(Poly(F2, (1, 1, 1))))
-    for z in pd.ku.elements():
-        assert pd.from_coords(pd.coords(z)) == z
-
-
 def test_expand_geometric_series():
     pd = place_data(Place.at(F2, 0))
     f = RationalFn(Poly.one(F2), Poly(F2, (1, 1)))  # 1/(t+1)

@@ -163,6 +163,41 @@ def test_subfield_embedding_is_ring_hom():
             assert F64.embed(a + b) == F64.embed(a) + F64.embed(b)
 
 
+@pytest.mark.parametrize(
+    "p,a,b",
+    [(2, 2, 4), (3, 2, 6), (2, 1, 3), (3, 1, 2), (5, 1, 1), (2, 3, 3)],
+    ids=["F4<F16", "F9<F729", "F2<F8", "F3<F9", "F5<F5", "F8<F8"],
+)
+def test_section_inverts_embed_and_rejects_the_rest(p, a, b):
+    sub, big = make_field(p, a), make_field(p, b)
+    image = set()
+    for x in sub.elements():
+        y = big.embed(x)
+        assert big.section(y, sub) == x
+        image.add(y.code)
+    assert len(image) == sub.q
+    for z in big.elements():
+        if z.code not in image:
+            with pytest.raises(ValueError, match="subfield"):
+                big.section(z, sub)
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2)])
+def test_coordinates_on_a_basis_by_their_definition(p, e):
+    sub, big = make_field(p, e), make_field(p, 3 * e)
+    gamma = big.gen()
+    basis = [big.one(), gamma, gamma**2]
+    coords, from_coords = big.coordinates(sub, basis)
+    for z in big.elements():
+        c = [sub.from_code(coords[z.code] // sub.q**i % sub.q) for i in range(3)]
+        assert sum((big.embed(ci) * b for ci, b in zip(c, basis)), big.zero()) == z
+        assert from_coords[coords[z.code]] == z.code
+    with pytest.raises(ValueError, match="not a basis"):
+        big.coordinates(sub, [big.one(), big.one(), gamma**2])
+    with pytest.raises(ValueError):
+        big.coordinates(sub, basis[:2])
+
+
 def test_field_element_codes_roundtrip():
     F9 = make_field(3, 2)
     for x in F9.elements():
