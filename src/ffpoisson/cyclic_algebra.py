@@ -24,7 +24,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import linalg
 from .localfield import (
     _contract_levels,
     _contraction_input,
@@ -48,6 +47,36 @@ from .scalars import (
 # ---------------------------------------------------------------------------
 # Descriptors
 # ---------------------------------------------------------------------------
+
+
+def determinant(matrix, zero, one):
+    """The determinant of a small square matrix by Gaussian elimination.
+    Entries support -, *, / and is_zero(), as FieldElem and RationalFn do;
+    zero and one are values of the entry type."""
+    n = len(matrix)
+    a = [list(row) for row in matrix]
+    det = one
+    sign = 1
+    for col in range(n):
+        piv = None
+        for r in range(col, n):
+            if not a[r][col].is_zero():
+                piv = r
+                break
+        if piv is None:
+            return zero
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            sign = -sign
+        det = det * a[col][col]
+        inv = a[col][col]
+        for r in range(col + 1, n):
+            if not a[r][col].is_zero():
+                f = a[r][col] / inv
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    if sign < 0:
+        det = zero - det
+    return det
 
 
 class AlgebraDescriptor:
@@ -86,7 +115,6 @@ class AlgebraDescriptor:
         self._L_pd: PlaceData | None = None
         self._nu_D: int | None = None
         self._records: dict[int, np.ndarray] = {}
-        self._lops: _LCodeOps | None = None
 
     # -- L-coordinates over F_q ---------------------------------------------------
 
@@ -125,7 +153,7 @@ class AlgebraDescriptor:
                 block = [
                     [base.from_code(tr[L.mul_code(dj, gi[dl])]) for dl in codes] for dj in codes
                 ]
-                if linalg.determinant(block, base.zero(), base.one()).is_zero():
+                if determinant(block, base.zero(), base.one()).is_zero():
                     raise RuntimeError("degenerate trace pairing; internal error")
             val = n * (n - 1)
             if val % 2 != 0:
@@ -512,36 +540,16 @@ _RECORD_CHUNK = 1 << 14
 _RECORD_LIMIT = 1 << 63
 
 
-class _LCodeOps:
-    """add, mul and neg on numpy arrays of L-codes: gathers from L's dense
-    tables, or, where L is too large to carry them, the field's own code
-    arithmetic element by element."""
-
-    def __init__(self, L: FieldDescriptor):
-        L._ensure_tables()
-        if L._mul_table is not None:
-            Q = L.q
-            add, mul, neg = (
-                np.array(t, dtype=np.int64) for t in (L._add_table, L._mul_table, L._neg_table)
-            )
-            self.add = lambda a, b: add[a * Q + b]
-            self.mul = lambda a, b: mul[a * Q + b]
-            self.neg = lambda a: neg[a]
-        else:
-            add, mul = np.frompyfunc(L.add_code, 2, 1), np.frompyfunc(L.mul_code, 2, 1)
-            neg = np.frompyfunc(L.neg_code, 1, 1)
-            self.add = lambda a, b: add(a, b).astype(np.int64)
-            self.mul = lambda a, b: mul(a, b).astype(np.int64)
-            self.neg = lambda a: neg(a).astype(np.int64)
-
-    def tmul(self, a, b):
-        """Products in L[t]/t^M of the rows of two (B, M) arrays."""
-        M = a.shape[1]
-        out = np.zeros_like(a)
-        for i in range(M):
-            for j in range(M - i):
-                out[:, i + j] = self.add(out[:, i + j], self.mul(a[:, i], b[:, j]))
-        return out
+def _tmul(L: FieldDescriptor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products in L[t]/t^M of two batches of elements, each an (M, B) array
+    of L-codes whose row m holds the t^m coefficients: every product a_i b_j
+    at once, then each row a_i b added in, shifted i places."""
+    M = len(a)
+    terms = L.mul_codes(a[:, None], b[None])
+    out = terms[0]
+    for i in range(1, M):
+        out[i:] = L.add_codes(out[i:], terms[i, : M - i])
+    return out
 
 
 def _perm_sign(perm) -> int:
@@ -573,36 +581,34 @@ def _charpoly_coeffs(desc: AlgebraDescriptor, M: int, digits: np.ndarray) -> np.
     k x k minors, each expanded by Leibniz over L[t]/t^M; a term with M or
     more factors below the diagonal is divisible by t^M and dropped."""
     n, L = desc.n, desc.L
-    ops = desc._lops
-    if ops is None:
-        ops = desc._lops = _LCodeOps(L)
     B, K = digits.shape
-    # tw[r, :, k] = g^r of the level-k digit
-    tw = np.asarray(desc._gpow, dtype=np.int64)[:, digits]
+    # tw[r, k] = g^r of the level-k digits; the entries are (M, B) arrays,
+    # batch last, since a broadcast over short trailing axes runs slowly
+    tw = np.asarray(desc._gpow, dtype=np.int64)[:, digits.T]
     A = {}
     for r in range(n):
         for c in range(n):
-            entry = tw[r, :, (c - r) % n :: n]
+            entry = tw[r, (c - r) % n :: n]
             if c < r:
                 entry, shifted = np.zeros_like(entry), entry
-                entry[:, 1:] = shifted[:, :-1]
+                entry[1:] = shifted[:-1]
             A[r, c] = entry
-    coeffs = np.zeros((B, n, M), dtype=np.int64)
+    coeffs = np.zeros((n, M, B), dtype=np.int64)
     for k in range(1, n + 1):
-        total = np.zeros((B, M), dtype=np.int64)
+        total = np.zeros((M, B), dtype=np.int64)
         for rows in itertools.combinations(range(n), k):
             for cols in itertools.permutations(rows):
                 if sum(c < r for r, c in zip(rows, cols)) >= M:
                     continue
                 term = A[rows[0], cols[0]]
                 for r, c in zip(rows[1:], cols[1:]):
-                    term = ops.tmul(term, A[r, c])
+                    term = _tmul(L, term, A[r, c])
                 if (k + (_perm_sign([rows.index(c) for c in cols]) < 0)) % 2:
-                    term = ops.neg(term)
-                total = ops.add(total, term)
-        coeffs[:, n - k] = total
+                    term = L.neg_codes(term)
+                total = L.add_codes(total, term)
+        coeffs[n - k] = total
     # descend every coefficient to F_q through the section table
-    down = np.asarray(L._section_table(desc.base), dtype=np.int64)[coeffs]
+    down = np.asarray(L.section_table(desc.base), dtype=np.int64)[coeffs.transpose(2, 0, 1)]
     if (down < 0).any():
         raise RuntimeError(
             "reduced characteristic polynomial fails Galois descent; internal fault"

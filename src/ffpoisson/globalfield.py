@@ -26,10 +26,8 @@ from .localfield import (
     JetVector,
     Window,
     _check_transformable,
-    _code_tables,
     _digit_matrix,
     _extend_lookup,
-    _field_code_tables,
     _from_digits,
     _generic_axis_transform,
     _int64_or_object,
@@ -472,7 +470,7 @@ def translate(phi: GlobalTestFunction, a: RationalFn) -> GlobalTestFunction:
         if not ajet.is_zero():
             # the index of x + a for every jet x, level by level
             codes = np.array([c.code for c in ajet.coeffs], dtype=np.int64)
-            plus_a = _code_tables(pd)[1][_digit_matrix(pd.ku.q, w.levels), codes]
+            plus_a = pd.ku.add_codes(_digit_matrix(pd.ku.q, w.levels), codes)
             changes[i] = (w, _from_digits(plus_a.T, pd.ku.q))
     return _reindex_places(phi, changes)
 
@@ -525,10 +523,9 @@ def mult_by_residue_character(phi: GlobalTestFunction, a: RationalFn) -> GlobalT
             exps.append(pd.trace_to_base_codes[tot.code])
         place_exp.append(exps)
     # the character's F_q exponent in every cell: a sum over the place axes
-    add = _field_code_tables(phi.field)[1]
     e = np.zeros((), dtype=np.int64)
     for exps in place_exp:
-        e = add[e[..., None], np.array(exps, dtype=np.int64)]
+        e = phi.field.add_codes(e[..., None], np.array(exps, dtype=np.int64))
     e = e.reshape(-1)
     if phi.mode != "exact":
         psi = [ops.psi_base(c) for c in range(phi.field.q)]
@@ -591,16 +588,16 @@ def _member_jet_codes(u: Place, window: Window, basis) -> np.ndarray:
     k_u codes shaped (q^len(basis), levels).  The jet map is F_q-linear, so
     only the basis is expanded; members are sum_i c_i b_i with the digits
     c_i in row-major order, and their jets are summed level by level with
-    the residue field's code tables."""
+    the residue field's array ops."""
     pd = place_data(u)
-    mul, add = _code_tables(pd)
-    embed = np.array(pd.ku._embedding_table(pd.base), dtype=np.int64)
+    ku = pd.ku
+    embed = np.array(ku.embedding_table(pd.base), dtype=np.int64)
     codes = np.zeros((1, window.levels), dtype=np.int64)
     for b in basis:
         jet = np.array([c.code for c in jet_at(b, u, window).coeffs], dtype=np.int64)
         # multiples[c, lev]: the jet of c * b, for every F_q code c
-        multiples = mul[embed[:, None], jet[None, :]]
-        codes = add[codes[:, None, :], multiples[None, :, :]]
+        multiples = ku.mul_codes(embed[:, None], jet[None, :])
+        codes = ku.add_codes(codes[:, None, :], multiples[None, :, :])
         codes = codes.reshape(len(codes) * len(embed), window.levels)
     return codes
 

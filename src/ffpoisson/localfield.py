@@ -286,37 +286,6 @@ def ops_for(pd: PlaceData, mode: str):
 # -- the transform engine -------------------------------------------------------
 
 
-def _field_code_tables(field):
-    """mul and add of a field as (q, q) int64 code tables, gathered from the
-    log pair and the Zech table (XOR at p = 2)."""
-    q = field.q
-    field._ensure_log(force=True)
-    exp = np.array(field._exp, dtype=np.int64)
-    log = np.array(field._log, dtype=np.int64)
-    la, lb = log[:, None], log[None, :]
-    codes = np.arange(q, dtype=np.int64)
-    mul = exp[la + lb]
-    mul[0, :] = mul[:, 0] = 0
-    if field.p == 2:
-        add = codes[:, None] ^ codes[None, :]
-    else:
-        # a + b = g^(log a) (1 + g^(log b - log a)); zech -1 marks b = -a
-        zech = np.array([-1 if z is None else z for z in field._zech], dtype=np.int64)
-        z = zech[(lb - la) % (q - 1)]
-        add = exp[la + np.maximum(z, 0)]
-        add[z < 0] = 0
-        add[0, :] = add[:, 0] = codes
-    return mul, add
-
-
-def _code_tables(pd: PlaceData):
-    """The residue field's (mul, add) code tables, cached on the place data."""
-    got = getattr(pd, "_code_tables", None)
-    if got is None:
-        got = pd._code_tables = _field_code_tables(pd.ku)
-    return got
-
-
 def _kernel_matmul(pd: PlaceData, dtype) -> np.ndarray:
     """The levelwise character transform as a (Q p, Q p) 0/1 matrix: row
     a p + i, column b p + o is 1 where o = i + E[b, a] mod p, with E[b, a]
@@ -326,7 +295,8 @@ def _kernel_matmul(pd: PlaceData, dtype) -> np.ndarray:
     kernels = getattr(pd, "_kernel_matmul", None)
     if kernels is None:
         Q, p = pd.ku.q, pd.base.p
-        E = np.array(pd.psi_exponents, dtype=np.int64)[_code_tables(pd)[0]]
+        codes = np.arange(Q)
+        E = np.array(pd.psi_exponents, dtype=np.int64)[pd.ku.mul_codes(codes[:, None], codes)]
         # ker[a, i, b, o] = (i + E[b, a]) % p == o, in one broadcast
         i = np.arange(p)[:, None, None]
         ker = ((i + E.T[:, None, :, None]) % p == np.arange(p)).astype(np.int64)
@@ -576,8 +546,8 @@ def _dual_gather_index(pd: PlaceData, win: Window) -> np.ndarray:
     got = cache.get(win)
     if got is not None:
         return got
-    mul, add = _code_tables(pd)
-    Q, K = pd.ku.q, win.levels
+    ku = pd.ku
+    Q, K = ku.q, win.levels
     W = pairing_matrix(pd, win.dual(pd.nu), win)
     digits = _digit_matrix(Q, K)
     g_idx = np.zeros(Q**K, dtype=np.int64)
@@ -586,7 +556,7 @@ def _dual_gather_index(pd: PlaceData, win: Window) -> np.ndarray:
         for ipos in range(K):
             code = W[ipos][jpos]
             if code:
-                acc = add[acc, mul[digits[:, ipos], code]]
+                acc = ku.add_codes(acc, ku.mul_codes(digits[:, ipos], code))
         g_idx = g_idx * Q + acc
     cache[win] = g_idx
     return g_idx
@@ -812,11 +782,10 @@ def restrict(phi: LocalTestFunction, new_M: int) -> LocalTestFunction:
 
 
 def flip(phi: LocalTestFunction) -> LocalTestFunction:
-    """x -> phi(-x) on every coordinate, through the negation code table."""
-    pd, Q = phi.pd, phi.pd.ku.q
-    neg = np.array([pd.ku.neg_code(c) for c in range(Q)], dtype=np.int64)
-    negated = neg[_digit_matrix(Q, phi.window.levels)]
-    return _reindexed(phi, phi.window, _from_digits(negated.T, Q))
+    """x -> phi(-x) on every coordinate, through the field's negation."""
+    ku = phi.pd.ku
+    negated = ku.neg_codes(_digit_matrix(ku.q, phi.window.levels))
+    return _reindexed(phi, phi.window, _from_digits(negated.T, ku.q))
 
 
 def fourier1(phi: LocalTestFunction) -> LocalTestFunction:

@@ -455,9 +455,8 @@ class MPoly:
         """A function from a point's codes in `big`, an extension of the base
         field, to the code of the value there: each monomial in the log
         domain, the monomials summed by big.log_sum."""
-        big._ensure_log(force=True)
-        log, m = big._log, big.q - 1
-        embed = big._embedding_table(self.field)
+        log, m = big.log_table(), big.q - 1
+        embed = big.embedding_table(self.field)
         monos = [
             (log[embed[c]], tuple((i, k) for i, k in enumerate(exps) if k))
             for exps, c in self.terms.items()

@@ -34,14 +34,13 @@ def is_prime(n: int) -> bool:
 # Field descriptors
 # ---------------------------------------------------------------------------
 
-# Arithmetic tables, all built lazily.  A field's first operation builds a
-# log/antilog pair for one primitive element, the negation table and, for odd
-# p, the Zech table, if the field has at most _LOG_LIMIT elements; the motivic
-# layer, which enumerates the field anyway, builds them whatever its size.
-# Dense add/mul/inv tables (at most _TABLE_LIMIT elements) are built only when
-# scalar add/mul/inv ask for them.  Fields without a pair compute with
-# polynomials per op.
-_TABLE_LIMIT = 256
+# One arithmetic per field, built lazily in O(q).  A field's first operation
+# builds a log/antilog pair for one primitive element, the negation table
+# and, for odd p, the Zech table, if the field has at most _LOG_LIMIT
+# elements; the motivic layer, which enumerates the field anyway, and the
+# array ops build them whatever its size.  Scalar ops read these lists, and
+# the array ops gather from int64 copies of the same lists.  Fields without
+# a pair compute with polynomials per op.
 _LOG_LIMIT = 4096
 
 
@@ -101,17 +100,14 @@ class FieldDescriptor:
         self.q = p**e
         # monic, length e+1, coefficients in 0..p-1, low degree first
         self.modulus = modulus
-        # exp[k] = g^k for the smallest-code primitive element g, stored for
-        # 0 <= k < 2(q-1) so that a sum of two logs indexes it directly;
-        # log[a] is the exponent of a != 0 (log[0] is -1, unused); for odd p,
-        # zech[k] = log(1 + g^k), None where 1 + g^k = 0.
+        # the log pair and the Zech table, laid out in _ensure_log; the log of
+        # 0 is _zero_log = 2(q - 1), past every sum of two logs of units
+        self._zero_log = 2 * (self.q - 1)
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
         self._neg_table: list[int] | None = None
-        self._zech: list[int | None] | None = None
-        self._add_table: list[int] | None = None
-        self._mul_table: list[int] | None = None
-        self._inv_table: list[int] | None = None
+        self._zech: list[int] | None = None
+        self._arrays = None  # int64 copies of exp, log, neg and zech
         self._traces: dict[int, list[int]] = {}
         self._powers: dict[int, list[int]] = {}
         self._embeddings: dict[tuple[int, int], list[int]] = {}
@@ -167,12 +163,14 @@ class FieldDescriptor:
         p = self.p
         return self.code_of([(x + y) % p for x, y in zip(self.coeffs_of(a), self.coeffs_of(b))])
 
-    def _ensure_log(self, force: bool = False) -> None:
-        """The log pair, the negation table and, for odd p, the Zech table,
-        in O(q): for fields of at most _LOG_LIMIT elements, or any field when
-        forced."""
-        if self._exp is not None or (self.q > _LOG_LIMIT and not force):
-            return
+    def _ensure_log(self, force: bool = False) -> bool:
+        """Build the log pair, the negation table and, for odd p, the Zech
+        table, in O(q): for fields of at most _LOG_LIMIT elements, or any
+        field when forced.  True when the tables exist."""
+        if self._exp is not None:
+            return True
+        if self.q > _LOG_LIMIT and not force:
+            return False
         q, p, e = self.q, self.p, self.e
         # g is the smallest code whose powers exhaust the unit group; past
         # e = 1 the constants, of order dividing p - 1, cannot, nor can the
@@ -193,78 +191,53 @@ class FieldDescriptor:
                 failed[x] = 1
         else:
             raise RuntimeError("no primitive element; modulus not irreducible")
+        # exp[k] = g^k, stored twice so that a sum of two unit logs indexes
+        # it directly, then zeros up to 4(q - 1): log[0] = S = 2(q - 1), so
+        # a product with a zero factor reads a zero, and mul is one lookup
+        S = self._zero_log
         log = _inverse_table(exp, q)
+        log[0] = S
         neg = [0]
         for _ in range(e):
             neg = [(-lo) % p + p * hi for hi in neg for lo in range(p)]
         if p > 2:
-            # 1 + a only increments digit 0; a = p - 1 is -1
-            self._zech = [
-                None if a == p - 1 else log[a + 1 - p if a % p == p - 1 else a + 1]
-                for a in exp
-            ]
-        self._log, self._neg_table, self._exp = log, neg, exp + exp
-
-    def _ensure_tables(self) -> None:
-        """The scalar path's tables: the log pair, and dense add/mul/inv
-        tables, derived from it, for fields of at most _TABLE_LIMIT elements."""
-        if self._mul_table is not None:
-            return
-        self._ensure_log()
-        q = self.q
-        if q > _TABLE_LIMIT:
-            return
-        exp, log = self._exp, self._log
-        # the row of a != 0 is exp shifted by log a, read at log b
-        mul, logs = [0] * q, log[1:]
-        for a in range(1, q):
-            shifted = exp[log[a] : log[a] + q - 1]
-            mul.append(0)
-            mul.extend([shifted[lb] for lb in logs])
-        self._inv_table = [0] + [exp[q - 1 - log[a]] for a in range(1, q)]
-        self._add_table = [s for a in range(q) for s in _translation_table(self.p, self.e, a)]
-        self._mul_table = mul
+            # zech(k) = log(1 + g^k), S where 1 + g^k = 0; 1 + a only
+            # increments digit 0, and a = p - 1 is -1
+            z = [S if a == p - 1 else log[a + 1 - p if a % p == p - 1 else a + 1] for a in exp]
+            # a + b = g^(log a + zech[log b - log a + S]) for every a and b,
+            # with zech in three blocks:
+            #   a = 0 (log a = S): zech[log b] = log b - S, giving b;
+            #   both units: the difference d, |d| <= q - 2, reads zech(d mod q-1);
+            #   b = 0 (log b = S): 0, giving a.
+            # a = b = 0 reads zech(0), which lands past 2(q - 1), on a zero.
+            self._zech = [k - S for k in range(q - 1)] + [0] + z[1:] + z + [0] * q
+        self._log, self._neg_table, self._exp = log, neg, exp + exp + [0] * (2 * q - 1)
+        return True
 
     def add_code(self, a: int, b: int) -> int:
-        self._ensure_tables()
-        if self._add_table is not None:
-            return self._add_table[a * self.q + b]
         if self.p == 2:
             return a ^ b
-        if self._zech is None:
+        if self._zech is None and not self._ensure_log():
             return self._digit_sum(a, b)
-        if not a or not b:
-            return a or b
         la = self._log[a]
-        z = self._zech[(self._log[b] - la) % (self.q - 1)]
-        return 0 if z is None else self._exp[la + z]
+        return self._exp[la + self._zech[self._log[b] - la + self._zero_log]]
 
     def neg_code(self, a: int) -> int:
-        self._ensure_log()
-        if self._neg_table is not None:
-            return self._neg_table[a]
-        p = self.p
-        if p == 2:
-            return a
-        return self.code_of([(-x) % p for x in self.coeffs_of(a)])
+        if self._neg_table is None and not self._ensure_log():
+            return a if self.p == 2 else self.code_of([(-x) % self.p for x in self.coeffs_of(a)])
+        return self._neg_table[a]
 
     def mul_code(self, a: int, b: int) -> int:
-        self._ensure_tables()
-        if self._mul_table is not None:
-            return self._mul_table[a * self.q + b]
-        if self._log is not None:
-            if a and b:
-                return self._exp[self._log[a] + self._log[b]]
-            return 0
-        return self._poly_mul_mod(a, b)
+        if self._log is None and not self._ensure_log():
+            return self._poly_mul_mod(a, b)
+        return self._exp[self._log[a] + self._log[b]]
 
     def pow_code(self, a: int, n: int) -> int:
         if a == 0:
             if n < 0:
                 raise ZeroDivisionError("inverse of zero field element")
             return 0 if n else 1
-        self._ensure_log()
-        if self._log is not None:
+        if self._log is not None or self._ensure_log():
             return self._exp[n * self._log[a] % (self.q - 1)]
         if n < 0:
             a, n = self.inv_code(a), -n
@@ -273,13 +246,16 @@ class FieldDescriptor:
     def inv_code(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero field element")
-        self._ensure_tables()
-        if self._inv_table is not None:
-            return self._inv_table[a]
         return self.pow_code(a, self.q - 2)
 
+    def log_table(self) -> list[int]:
+        """log[c] for every code c: the k < q - 1 with g^k = c for c != 0,
+        and 2(q - 1) for c = 0.  Builds the log pair whatever q is."""
+        self._ensure_log(force=True)
+        return self._log
+
     def log_sum(self, logs: Iterable[int]) -> int:
-        """The code of the sum of g^l over logs l < 2(q-1): XOR of the powers
+        """The code of the sum of g^l over logs l < q - 1: XOR of the powers
         at p = 2, else folded through the Zech table.  Needs the log pair."""
         exp = self._exp
         if self.p == 2:
@@ -287,15 +263,46 @@ class FieldDescriptor:
             for k in logs:
                 acc ^= exp[k]
             return acc
-        zech, m = self._zech, self.q - 1
-        acc = None  # the log of the sum so far, None while it is zero
+        zech, S, m = self._zech, self._zero_log, self.q - 1
+        acc = S  # the log of the sum so far
         for k in logs:
-            if acc is None:
-                acc = k
-            else:
-                z = zech[(k - acc) % m]
-                acc = None if z is None else (acc + z) % m
-        return 0 if acc is None else exp[acc]
+            acc += zech[k - acc + S]
+            acc = acc % m if acc < S else S
+        return exp[acc]
+
+    # -- code arrays ---------------------------------------------------------
+
+    def _code_arrays(self):
+        """int64 copies of exp, log, neg and zech (a placeholder at p = 2),
+        built on first use; numpy is imported here, so importing this module
+        does not load it."""
+        if self._arrays is None:
+            import numpy as np
+
+            self._ensure_log(force=True)
+            self._arrays = tuple(
+                np.array(t or [0], dtype=np.int64)
+                for t in (self._exp, self._log, self._neg_table, self._zech)
+            )
+        return self._arrays
+
+    def add_codes(self, a, b):
+        """a + b on int64 code arrays, broadcast: XOR at p = 2, else three
+        gathers through the Zech table, as add_code."""
+        if self.p == 2:
+            return a ^ b
+        exp, log, _, zech = self._code_arrays()
+        la = log[a]
+        return exp[la + zech[log[b] - la + self._zero_log]]
+
+    def mul_codes(self, a, b):
+        """a * b on int64 code arrays, broadcast: exp[log a + log b]."""
+        exp, log, _, _ = self._code_arrays()
+        return exp[log[a] + log[b]]
+
+    def neg_codes(self, a):
+        """-a on an int64 code array."""
+        return self._code_arrays()[2][a]
 
     # -- tables over all codes ------------------------------------------------
 
@@ -362,7 +369,7 @@ class FieldDescriptor:
 
     # -- subfield embeddings --------------------------------------------------
 
-    def _embedding_table(self, sub: "FieldDescriptor") -> list[int]:
+    def embedding_table(self, sub: "FieldDescriptor") -> list[int]:
         """Images of all sub-elements, fixed once per tower.
 
         The generator of the subfield maps to the smallest-code root of the
@@ -390,22 +397,22 @@ class FieldDescriptor:
         table = self._embeddings[key] = _linear_table(self.p, images, self.e)
         return table
 
-    def _section_table(self, sub: "FieldDescriptor") -> list[int]:
+    def section_table(self, sub: "FieldDescriptor") -> list[int]:
         """The sub-code of every code in the image of the embedding, -1
         elsewhere; built on first use."""
         key = (sub.p, sub.e)
         table = self._sections.get(key)
         if table is None:
-            table = self._sections[key] = _inverse_table(self._embedding_table(sub), self.q)
+            table = self._sections[key] = _inverse_table(self.embedding_table(sub), self.q)
         return table
 
     def embed(self, x: "FieldElem") -> "FieldElem":
-        table = self._embedding_table(x.field)
+        table = self.embedding_table(x.field)
         return FieldElem(self, table[x.code])
 
     def section(self, x: "FieldElem", sub: "FieldDescriptor") -> "FieldElem":
         """Inverse of embed on its image; x must lie in the subfield."""
-        code = self._section_table(sub)[x.code]
+        code = self.section_table(sub)[x.code]
         if code < 0:
             raise ValueError("element does not lie in the requested subfield")
         return FieldElem(sub, code)

@@ -251,6 +251,29 @@ def test_budget_exceeded_exits_3_with_one_line(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "exc,line",
+    [
+        (MemoryError("Unable to allocate 3.00 TiB for an array"),
+         "error: out of memory: Unable to allocate 3.00 TiB for an array\n"),
+        (MemoryError(), "error: out of memory\n"),
+    ],
+)
+def test_out_of_memory_exits_3_with_one_line(monkeypatch, capsys, exc, line):
+    # the jet digits are where an oversized theorem-a run first allocates;
+    # no real allocation is attempted
+    from ffpoisson import cyclic_algebra
+
+    def no_memory(*args):
+        raise exc
+
+    monkeypatch.setattr(cyclic_algebra, "_digit_matrix", no_memory)
+    code = main(["theorem-a", "--p", "2", "--n", "3", "--window", "0,1", "--pairs", "2",
+                 "--out", "/dev/null"])
+    assert code == 3
+    assert capsys.readouterr().err == line
+
+
 def _global_fn_json():
     return {
         "q": 2,

@@ -35,7 +35,7 @@ from ffpoisson.cyclic_algebra import (
     theorem_a_report,
     w_valuation,
 )
-from ffpoisson import cyclic_algebra, linalg
+from ffpoisson import cyclic_algebra
 from ffpoisson.cyclic_algebra import _perm_sign
 from ffpoisson.localfield import Window, _int64_or_object, _values_to_int
 from ffpoisson.place import Place
@@ -620,7 +620,7 @@ def _gram_nu_D(desc):
     n = desc.n
     basis = [basis_element(desc, i, j) for i in range(n) for j in range(n)]
     gram = [[reduced_trace(alg_mul(x, y)) for y in basis] for x in basis]
-    det = linalg.determinant(gram, RationalFn.zero(desc.base), RationalFn.one(desc.base))
+    det = cyclic_algebra.determinant(gram, RationalFn.zero(desc.base), RationalFn.one(desc.base))
     assert not det.is_zero()
     return det.order_at_poly(Poly.x(desc.base))
 
@@ -801,17 +801,19 @@ def test_records_past_int64_guard_are_python_ints(monkeypatch):
     assert invariant_records(fresh, 1).dtype == np.int64
 
 
-def test_records_without_dense_field_tables():
-    # L = F_289 has no dense tables; its codes go through the field's own
-    # arithmetic element by element
+def test_records_without_dense_field_tables(monkeypatch):
+    # L = F_289: the batch runs through L's array ops, with its scalar ops
+    # switched off
     F17 = make_field(17)
     desc = AlgebraDescriptor(F17, 2, 1)
-    assert desc.L._mul_table is None
     rng = random.Random(4)
     jets = [jet_from_index(desc, 0, 4, rng.randrange(289**4)) for _ in range(40)]
-    records = cyclic_algebra._charpoly_records(
-        desc, 2, np.array([jet.codes for jet in jets], dtype=np.int64)
-    )
+    with monkeypatch.context() as m:
+        for name in ("add_code", "mul_code", "neg_code", "pow_code"):
+            m.setattr(desc.L, name, None)
+        records = cyclic_algebra._charpoly_records(
+            desc, 2, np.array([jet.codes for jet in jets], dtype=np.int64)
+        )
     assert [int(r) for r in records] == [oracle_record(desc, jet, 2) for jet in jets]
 
 

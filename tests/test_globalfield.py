@@ -738,7 +738,7 @@ def test_jet_counts_embed_is_not_identity():
     # the F_4 case above only tests the embedding if it moves codes
     pd = place_data(_place(F4, (2, 1, 1)))
     assert pd.ku.q == 16
-    assert pd.ku._embedding_table(F4) != list(range(4))
+    assert pd.ku.embedding_table(F4) != list(range(4))
 
 
 def test_mixed_radix_index_against_digits():

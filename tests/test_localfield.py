@@ -751,22 +751,3 @@ def test_symbolic_fourier_commutes_with_specialization():
         exact = fourier1(LocalTestFunction.delta(pd, win, k, "exact"))
         for vs, ve in zip(sym.values, exact.values):
             assert vs.specialize(1) == ve
-
-
-# -- code tables of fields past the dense tables --------------------------------------
-
-
-@pytest.mark.parametrize("p,e,count", [(17, 2, None), (3, 6, 10000)])
-def test_field_code_tables_past_dense_tables_match_scalar_arithmetic(p, e, count):
-    F = make_field(p, e)
-    mul, add = localfield._field_code_tables(F)
-    assert F._mul_table is None and mul.shape == add.shape == (F.q, F.q)
-    if count is None:
-        pairs = [(a, b) for a in range(F.q) for b in range(F.q)]
-    else:
-        rng = random.Random(count + F.q)
-        pairs = [(rng.randrange(F.q), rng.randrange(F.q)) for _ in range(count)]
-        pairs += [(a, F.neg_code(a)) for a in range(F.q)] + [(0, b) for b in range(F.q)]
-    for a, b in pairs:
-        assert mul[a, b] == F.mul_code(a, b)
-        assert add[a, b] == F.add_code(a, b)

@@ -1,11 +1,14 @@
+import ast
+import pathlib
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from ffpoisson import scalars
 from ffpoisson.scalars import (
     _LOG_LIMIT,
-    _TABLE_LIMIT,
     CycScalar,
     FieldDescriptor,
     cyc_normalize,
@@ -206,11 +209,13 @@ def test_field_element_codes_roundtrip():
             assert (x * x.inverse()) == F9.one()
 
 
-# -- arithmetic tables against polynomial arithmetic ----------------------------------
+# -- field arithmetic against polynomial arithmetic ----------------------------------
 
-# every field p^e <= _TABLE_LIMIT for p in {2, 3, 5, 7}; all pairs up to 64 elements
-TABLED = [(2, e) for e in range(1, 9)] + [(3, e) for e in range(1, 6)]
-TABLED += [(5, 1), (5, 2), (5, 3), (7, 1), (7, 2)]
+# every field p^e <= 256 for p in {2, 3, 5, 7}, and F_p for the other primes
+# below 64: every field of at most 64 elements; all pairs up to 64 elements
+SMALL = [(2, e) for e in range(1, 9)] + [(3, e) for e in range(1, 6)]
+SMALL += [(5, 1), (5, 2), (5, 3), (7, 1), (7, 2)]
+SMALL += [(p, 1) for p in range(11, 64) if scalars.is_prime(p)]
 LOGGED = [(2, 9), (3, 6)]
 
 
@@ -238,24 +243,28 @@ def _sample_pairs(F, count, seed):
     return [(rng.randrange(F.q), rng.randrange(F.q)) for _ in range(count)]
 
 
-@pytest.mark.parametrize("p,e", TABLED)
+@pytest.mark.parametrize("p,e", SMALL)
 def test_dense_tables_match_polynomial_arithmetic(p, e):
+    # the (q, q) tables of the array ops, a column of codes broadcast against
+    # a row, and the scalar ops, read at the same pairs
     F = make_field(p, e)
-    F._ensure_tables()
     q = F.q
-    assert q <= _TABLE_LIMIT and F._mul_table is not None
+    codes = np.arange(q)
+    mul, add = F.mul_codes(codes[:, None], codes), F.add_codes(codes[:, None], codes)
+    assert mul.shape == add.shape == (q, q) and mul.dtype == add.dtype == np.int64
     for a, b in _sample_pairs(F, 3000, q):
-        assert F._mul_table[a * q + b] == F._poly_mul_mod(a, b)
-        assert F._add_table[a * q + b] == _digit_sum(F, a, b)
-    assert F._neg_table == [_digit_neg(F, a) for a in range(q)]
+        assert mul[a, b] == F.mul_code(a, b) == F._poly_mul_mod(a, b)
+        assert add[a, b] == F.add_code(a, b) == _digit_sum(F, a, b)
+    negs = [_digit_neg(F, a) for a in range(q)]
+    assert F.neg_codes(codes).tolist() == [F.neg_code(a) for a in range(q)] == negs
     for a in range(1, q):
-        assert F._poly_mul_mod(a, F._inv_table[a]) == 1
+        assert F._poly_mul_mod(a, F.inv_code(a)) == 1
 
 
-@pytest.mark.parametrize("p,e", TABLED + LOGGED)
+@pytest.mark.parametrize("p,e", SMALL + LOGGED)
 def test_log_pair_is_powers_of_smallest_primitive_element(p, e):
     F = make_field(p, e)
-    F._ensure_tables()
+    F._ensure_log()
     q = F.q
     # the smallest code of multiplicative order q - 1
     for g in range(1, q):
@@ -264,12 +273,15 @@ def test_log_pair_is_powers_of_smallest_primitive_element(p, e):
             x, order = F._poly_mul_mod(x, g), order + 1
         if order == q - 1:
             break
-    assert len(F._exp) == 2 * (q - 1)
+    # exp holds g^k twice, then zeros up to 4(q - 1), where the log of 0,
+    # 2(q - 1), lands any product with a zero factor
+    assert len(F._exp) == 4 * q - 3 and F.log_table()[0] == 2 * (q - 1)
+    assert not any(F._exp[2 * (q - 1) :])
     x = 1
     for k in range(2 * (q - 1)):
         assert F._exp[k] == x
         if k < q - 1:
-            assert F._log[x] == k
+            assert F.log_table()[x] == k
         x = F._poly_mul_mod(x, g)
 
 
@@ -277,7 +289,7 @@ def test_log_pair_is_powers_of_smallest_primitive_element(p, e):
 def test_log_path_matches_polynomial_arithmetic(p, e):
     F = make_field(p, e)
     q = F.q
-    assert _TABLE_LIMIT < q <= _LOG_LIMIT
+    assert q <= _LOG_LIMIT
     rng = random.Random(q)
     for a, b in _sample_pairs(F, 2000, q):
         assert F.mul_code(a, b) == F._poly_mul_mod(a, b)
@@ -288,7 +300,7 @@ def test_log_path_matches_polynomial_arithmetic(p, e):
         if a:
             assert F._poly_mul_mod(a, F.inv_code(a)) == 1
             assert F.pow_code(a, -n) == _poly_power(F, F.inv_code(a), n)
-    assert F._mul_table is None and F._log is not None
+    assert F._log is not None
     assert F.pow_code(0, 0) == 1 and F.pow_code(0, 5) == 0
 
 
@@ -303,7 +315,7 @@ def test_polynomial_fallback_above_log_limit():
         assert F.mul_code(a, F.inv_code(a)) == 1
         assert F.mul_code(a, b) == F._poly_mul_mod(a, b)
         assert F.add_code(F.add_code(a, b), F.neg_code(b)) == a
-    assert F._log is None and F._mul_table is None
+    assert F._log is None
     with pytest.raises(ZeroDivisionError):
         F.inv_code(0)
 
@@ -323,13 +335,15 @@ def test_cyc_scalar_zero_and_rational_predicates():
 def test_zech_addition_matches_digitwise_sum(p, e):
     F = make_field(p, e)
     q = F.q
-    assert _TABLE_LIMIT < q <= _LOG_LIMIT
+    assert q <= _LOG_LIMIT
     rng = random.Random(20000 + q)
     pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(20000)]
     pairs += [(a, _digit_neg(F, a)) for a in range(q)]  # 1 + g^k = 0 in the Zech table
     for a, b in pairs:
         assert F.add_code(a, b) == _digit_sum(F, a, b)
-    assert F._add_table is None and F._zech[(q - 1) // 2] is None
+    # g^((q-1)/2) = -1: the Zech entry of the difference (q-1)/2 is the log of 0
+    S = 2 * (q - 1)
+    assert F._zech[S + (q - 1) // 2] == S
 
 
 def _trace_by_powers(F, x, d):
@@ -363,13 +377,6 @@ def test_trace_table_is_the_sum_of_frobenius_powers(p, e, ds):
     assert [trace(x, 1).code for x in F.elements()] == F.trace_table(1)
 
 
-def test_trace_table_needs_no_dense_tables():
-    F = FieldDescriptor(2, 8, make_field(2, 8).modulus)
-    F.trace_table(1)
-    F.power_table(2)
-    assert F._log is not None and F._mul_table is None
-
-
 def test_extension_moduli_are_pinned():
     # make_field takes the first irreducible in code order; every report's
     # bytes depend on the moduli it finds
@@ -383,3 +390,69 @@ def test_extension_moduli_are_pinned():
         (5, 2): (2, 0, 1),
     }
     assert {pe: make_field(*pe).modulus for pe in want} == want
+
+
+# -- the array ops against the scalar ops ---------------------------------------------
+
+# fields past 64 elements up to _LOG_LIMIT, sampled
+SAMPLED = [(3, 4), (2, 7), (3, 5), (2, 8), (17, 2), (7, 3), (3, 6), (2, 10), (3, 7), (2, 12)]
+
+
+@pytest.mark.parametrize("p,e", SAMPLED)
+def test_array_ops_match_scalar_ops_on_samples(p, e):
+    F = make_field(p, e)
+    q = F.q
+    assert 64 < q <= _LOG_LIMIT
+    rng = random.Random(q)
+    pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(2000)]
+    pairs += [(a, _digit_neg(F, a)) for a in range(q)]  # every a + (-a)
+    pairs += [(0, a) for a in range(q)] + [(a, 0) for a in range(q)]  # every zero operand
+    a = np.array([x for x, _ in pairs], dtype=np.int64)
+    b = np.array([y for _, y in pairs], dtype=np.int64)
+    mul, add = F.mul_codes(a, b), F.add_codes(a, b)
+    assert mul.tolist() == [F.mul_code(x, y) for x, y in pairs]
+    assert mul.tolist() == [F._poly_mul_mod(x, y) for x, y in pairs]
+    assert add.tolist() == [F.add_code(x, y) for x, y in pairs]
+    assert add.tolist() == [_digit_sum(F, x, y) for x, y in pairs]
+    codes = np.arange(q)
+    assert F.neg_codes(codes).tolist() == [F.neg_code(c) for c in range(q)]
+
+
+def test_array_ops_past_the_log_limit_force_the_log_pair():
+    # a private copy of F_8192: the array ops build its pair, the scalar ops
+    # of the cached descriptor stay on the polynomial path
+    F = FieldDescriptor(2, 13, make_field(2, 13).modulus)
+    rng = random.Random(13)
+    pairs = [(rng.randrange(F.q), rng.randrange(F.q)) for _ in range(300)] + [(0, 5), (5, 0)]
+    a, b = (np.array(x, dtype=np.int64) for x in zip(*pairs))
+    assert F.mul_codes(a, b).tolist() == [F._poly_mul_mod(x, y) for x, y in pairs]
+    assert F.add_codes(a, b).tolist() == [x ^ y for x, y in pairs]
+    assert F._log is not None and make_field(2, 13)._log is None
+
+
+def _field_private_names():
+    """The underscore attributes FieldDescriptor defines: its methods and
+    the attributes it assigns on self."""
+    tree = ast.parse(pathlib.Path(scalars.__file__).read_text())
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "FieldDescriptor")
+    names = set()
+    for node in ast.walk(cls):
+        if isinstance(node, ast.FunctionDef):
+            names.add(node.name)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+    return {n for n in names if n.startswith("_") and not n.endswith("__")}
+
+
+def test_no_module_reads_private_field_state():
+    # the other modules compute with fields through the public ops only
+    private = _field_private_names()
+    assert {"_exp", "_log", "_zech", "_embeddings"} <= private
+    found = []
+    for path in sorted(pathlib.Path(scalars.__file__).parent.glob("*.py")):
+        if path.name == "scalars.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in private:
+                found.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert found == []
