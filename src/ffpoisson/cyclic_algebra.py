@@ -661,10 +661,6 @@ def reduced_char_polys(desc: AlgebraDescriptor, elements) -> list[list[RationalF
     ]
 
 
-def jet_from_index(desc: AlgebraDescriptor, lo: int, hi: int, idx: int) -> AlgebraJet:
-    return AlgebraJet(desc, lo, hi, _to_digits(idx, desc.L.q, hi - lo))
-
-
 def jet_index(jet: AlgebraJet) -> int:
     return _from_digits(jet.codes, jet.desc.L.q)
 
@@ -770,8 +766,7 @@ class AlgebraTestFunction(_Table):
         self.desc = desc
         self.lo = lo
         self.hi = hi
-        p = desc.base.p
-        self._set_table(*_values_to_int(values, p), p, "exact")
+        self._set_table(*_values_to_int(values, desc.base.p), desc.base, "exact")
         self._values = values
 
     @classmethod
@@ -779,7 +774,7 @@ class AlgebraTestFunction(_Table):
         """A table given in the _Table layout, taken as it is."""
         phi = cls.__new__(cls)
         phi.desc, phi.lo, phi.hi = desc, lo, hi
-        phi._set_table(arr, den, desc.base.p, "exact")
+        phi._set_table(arr, den, desc.base, "exact")
         return phi
 
     def _shape(self) -> tuple:
@@ -837,7 +832,7 @@ def fourier_D(phi: AlgebraTestFunction) -> AlgebraTestFunction:
     D = Q**K
     vol = Fraction(base.q) ** (-(desc.nu_D // 2) - phi.hi * desc.n)
     arr = _contraction_input(phi._arr, D * 4 * vol.numerator, Q * p)
-    g = _contract_levels(arr, desc.L_place_data(), K).reshape(D, p)
+    g = _contract_levels(arr, desc.L_place_data(), K, phi._group).reshape(D, p)
 
     # output jet x -> u digits: u at input level j is g^(j mod n) of x's
     # digit at level -n-j
@@ -890,7 +885,9 @@ class MatchedPair:
 
 
 def _bs_element(desc: AlgebraDescriptor, bcodes) -> AlgebraElement:
-    """b s, for b in L given by its F_q-codes on the d-basis."""
+    """b s, for b in L^* given by its F_q-codes on the d-basis."""
+    if not any(bcodes):
+        raise ValueError("b must be a nonzero element of L")
     el = AlgebraElement.zero(desc)
     for j, code in enumerate(bcodes):
         el.x[1][j] = RationalFn.constant(desc.base, desc.base.from_code(code))
@@ -919,23 +916,6 @@ def _matched_pairs(desc, desc_dot, provenance: str, elements, elements_dot) -> l
             regular = not all(u.is_zero() for u in c.x[0][1:])
         pairs.append(MatchedPair(c, c_dot, provenance, cp, regular))
     return pairs
-
-
-def matched_pair(desc: AlgebraDescriptor, desc_dot: AlgebraDescriptor, b) -> MatchedPair:
-    """The orbit-map pair (b s, b s-dot) for b in L^*."""
-    bcodes = desc.coords(b) if isinstance(b, FieldElem) else tuple(b)
-    if not any(bcodes):
-        raise ValueError("b must be a nonzero element of L")
-    return _matched_pairs(
-        desc, desc_dot, "bs-form", [_bs_element(desc, bcodes)], [_bs_element(desc_dot, bcodes)]
-    )[0]
-
-
-def matched_pair_L(desc: AlgebraDescriptor, desc_dot: AlgebraDescriptor, coeff_vector) -> MatchedPair:
-    """A common element of the shared commutative subalgebra L(F_q(t))."""
-    c = AlgebraElement.from_L(desc, coeff_vector)
-    c_dot = AlgebraElement.from_L(desc_dot, coeff_vector)
-    return _matched_pairs(desc, desc_dot, "L-common", [c], [c_dot])[0]
 
 
 def theorem_a_report(

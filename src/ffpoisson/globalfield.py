@@ -29,7 +29,6 @@ from .localfield import (
     _digit_matrix,
     _extend_lookup,
     _from_digits,
-    _generic_axis_transform,
     _int64_or_object,
     _lookup_index,
     _mixed_radix_index,
@@ -37,10 +36,10 @@ from .localfield import (
     _Table,
     _table_of,
     _transform_table,
+    _value_group,
     index_to_jet,
     jet_space_size,
     jet_to_index,
-    ops_for,
 )
 from .place import Place, place_data, places_up_to
 from .poly import Poly, RationalFn
@@ -221,13 +220,13 @@ class GlobalTestFunction(_Table):
         self._setup(field, support, arity, *_table_of(list(values), field.p, mode), mode)
 
     @classmethod
-    def _from_table(cls, field, support, arity, arr, den, mode="exact"):
+    def _from_table(cls, field, support, arity, arr, den, mode="exact", lexp=0):
         """A table given in the _Table layout, taken as it is."""
         phi = cls.__new__(cls)
-        phi._setup(field, support, arity, arr, den, mode)
+        phi._setup(field, support, arity, arr, den, mode, lexp)
         return phi
 
-    def _setup(self, field, support, arity, arr, den, mode):
+    def _setup(self, field, support, arity, arr, den, mode, lexp=0):
         if arity < 1:
             raise ValueError(f"arity must be at least 1, got {arity}")
         support = list(support)
@@ -251,7 +250,7 @@ class GlobalTestFunction(_Table):
         self.places = tuple(pw[0] for pw in support)
         self.windows = tuple(pw[1] for pw in support)
         self.arity = arity
-        self._set_table(arr, den, field.p, mode)
+        self._set_table(arr, den, field, mode, lexp)
 
     # -- structure ---------------------------------------------------------------
 
@@ -271,14 +270,11 @@ class GlobalTestFunction(_Table):
     def _shape(self) -> tuple:
         return (self.places, self.windows, self.arity)
 
-    def _ops(self):
-        return ops_for(place_data(self.places[0]), self.mode)
-
     def _with_rows(self, support, idx) -> "GlobalTestFunction":
         """The table's rows at the flat positions idx, a -1 reading zero, as
         a function on the given support (canonical order)."""
         return GlobalTestFunction._from_table(
-            self.field, support, self.arity, self._rows(idx), self._den, self.mode
+            self.field, support, self.arity, self._rows(idx), self._den, self.mode, self._lexp
         )
 
     # -- evaluation ----------------------------------------------------------------
@@ -305,7 +301,8 @@ class GlobalTestFunction(_Table):
             per_place = []
             for f in fs:
                 if not f.is_zero() and u.valuation(f) < -w.N:
-                    return self._ops().zero()
+                    zero = np.zeros((1, self._group.q), dtype=np.int64)
+                    return self._entries(zero, 1, self._lexp)[0]
                 per_place.append(jet_at(f, u, w))
             jets.append(per_place)
         return self.value_at_jets(jets)
@@ -350,12 +347,10 @@ def indicator_everywhere_integral(
     """The product of integral indicators on the given support: on windows
     with no pole depth this is the constant-one table."""
     support = [(u, Window(0, 1)) for u in places_list]
-    size = 1
-    for u, w in support:
-        size *= jet_space_size(place_data(u), w) ** arity
-    ops = ops_for(place_data(places_list[0]), mode)
-    one = ops.one()
-    return GlobalTestFunction(field, support, arity, [one] * size, mode)
+    size = prod(jet_space_size(place_data(u), w) ** arity for u, w in support)
+    arr = np.zeros((size, _value_group(field, mode).q), dtype=np.int64)
+    arr[:, 0] = 1
+    return GlobalTestFunction._from_table(field, support, arity, arr, 1, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -434,15 +429,8 @@ def global_fourier(phi: GlobalTestFunction) -> GlobalTestFunction:
     for pd, w in axes:
         _check_transformable(pd, w)
     dual = [(u, w.dual(place_data(u).nu)) for u, w in phi.support()]
-    if phi.mode == "exact":
-        arr, den = _transform_table(phi._arr, phi._den, axes)
-        return GlobalTestFunction._from_table(phi.field, dual, phi.arity, arr, den)
-    sizes = [jet_space_size(pd, w) for pd, w in axes]
-    values = phi.values
-    for axis, (pd, w) in enumerate(axes):
-        pre, post = prod(sizes[:axis]), prod(sizes[axis + 1 :])
-        values, _ = _generic_axis_transform(values, ops_for(pd, phi.mode), pd, w, pre, post)
-    return GlobalTestFunction(phi.field, dual, phi.arity, values, phi.mode)
+    arr, den, lexp = phi._transformed(axes)
+    return GlobalTestFunction._from_table(phi.field, dual, phi.arity, arr, den, phi.mode, lexp)
 
 
 def translate(phi: GlobalTestFunction, a: RationalFn) -> GlobalTestFunction:
@@ -496,7 +484,6 @@ def mult_by_residue_character(phi: GlobalTestFunction, a: RationalFn) -> GlobalT
         need = pd.nu - u.valuation(a)
         if phi.window_at(u).M < need:
             phi = refine_place(phi, u, need)
-    ops = phi._ops()
     # per place, the linear form jet -> r_u(a * jet) as level coefficients
     place_exp = []
     for u, w in phi.support():
@@ -526,17 +513,17 @@ def mult_by_residue_character(phi: GlobalTestFunction, a: RationalFn) -> GlobalT
     e = np.zeros((), dtype=np.int64)
     for exps in place_exp:
         e = phi.field.add_codes(e[..., None], np.array(exps, dtype=np.int64))
-    e = e.reshape(-1)
-    if phi.mode != "exact":
-        psi = [ops.psi_base(c) for c in range(phi.field.q)]
-        values = [v * psi[k] for v, k in zip(phi.values, e.tolist())]
-        return GlobalTestFunction(phi.field, phi.support(), 1, values, phi.mode)
-    # psi(c) = zeta^r(c), and times zeta^r the row's coefficients move r
-    # places along the zeta-power basis
-    p = phi.field.p
-    r = np.array(ops._base_exp, dtype=np.int64)[e]
-    arr = np.take_along_axis(phi._arr, (np.arange(p) - r[:, None]) % p, axis=1)
-    return GlobalTestFunction._from_table(phi.field, phi.support(), 1, arr, phi._den)
+    # psi(c) is the value group's T(c), T the trace down to the group, and
+    # times psi(c) the column of g moves to g + T(c): one column gather, a
+    # rotation mod p for an exact table, a translation in F_q for a
+    # symbolic one
+    group = phi._group
+    t = np.array(phi.field.trace_table(group.e), dtype=np.int64)[e.reshape(-1)]
+    cols = group.add_codes(np.arange(group.q), group.neg_codes(t)[:, None])
+    arr = np.take_along_axis(phi._arr, cols, axis=1)
+    return GlobalTestFunction._from_table(
+        phi.field, phi.support(), 1, arr, phi._den, phi.mode, phi._lexp
+    )
 
 
 def scale_variable(phi: GlobalTestFunction, a: RationalFn) -> GlobalTestFunction:
@@ -749,8 +736,8 @@ def _poisson_functionals(field, support, max_enum=1 << 20, check=None):
     check("poisson dual transform")
     rows = np.zeros((c_dual.size, p), dtype=np.int64)
     rows[:, 0] = c_dual
-    g, den = _transform_table(rows, 1, dual_axes)
-    scale = Fraction(1)
+    g, shift = _transform_table(rows, dual_axes, _value_group(field, "exact"))
+    scale = Fraction(field.q) ** shift
     for (pd, w), (_, wd) in zip(axes, dual_axes):
         scale *= Fraction(pd.base.q) ** (pd.d * (wd.M - w.M))
     if g.dtype != object:
@@ -760,7 +747,7 @@ def _poisson_functionals(field, support, max_enum=1 << 20, check=None):
         if bound * scale.numerator * len(g) >= _INT64_GUARD:
             g = g.astype(object)
     g = (g * scale.numerator).reshape(shape + [p]).sum(axis=tuple(summed))
-    return c, g, den * scale.denominator
+    return c, g, scale.denominator
 
 
 def poisson_family(field, places_list, window=Window(1, 1), max_enum=1 << 20, check=None):

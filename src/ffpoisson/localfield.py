@@ -20,8 +20,12 @@ value is ever a float: while every sum of a contraction provably stays
 below 2^53, a matmul large enough to gain from BLAS carries the integers
 in float64, where BLAS sums them exactly, and the result returns to int64
 before anything reads it.
-Symbolic tables keep their MotivicClass values in one object column and
-take a direct double sum.
+A symbolic table is stored the same way, as integer rows over the group
+ring Z[F_q], whose column c counts the point class e_c = [{c}, Id], with
+one power of L for the whole table.  It runs through the same engine: the
+kernel adds the trace down to F_q where an exact one adds the trace down
+to F_p, and a transform adds d(nu/2 - M) to the power of L.  MotivicClass
+values are built only when they are read.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from math import lcm, prod
 import numpy as np
 
 from .place import PlaceData
-from .scalars import CycScalar, FieldElem
+from .scalars import CycScalar, FieldElem, make_field
 
 _INT64_GUARD = 1 << 60
 # each output of a contraction sums Q terms per level, so |sum| <= factor *
@@ -214,96 +218,40 @@ def pairing_matrix(pd: PlaceData, out_win: Window, in_win: Window):
     return rows
 
 
-# -- value modes ---------------------------------------------------------------
-
-
-class ExactOps:
-    """CycScalar-valued tables: psi via absolute trace, q-powers as Fractions."""
-
-    mode = "exact"
-
-    def __init__(self, pd: PlaceData):
-        self.pd = pd
-        p = pd.base.p
-        self.p = p
-        self._zeta = [CycScalar.zeta_power(p, k) for k in range(p)]
-        self._base_exp = pd.base.trace_table(1)
-
-    def zero(self):
-        return CycScalar.zero(self.p)
-
-    def one(self):
-        return CycScalar.one(self.p)
-
-    def psi_base(self, code: int):
-        return self._zeta[self._base_exp[code]]
-
-    def q_power(self, k: int):
-        return CycScalar.rational(self.p, Fraction(self.pd.base.q) ** k)
-
-    def scale(self, v, k: int):
-        return v * Fraction(self.pd.base.q) ** k
-
-
-class SymbolicOps:
-    """MotivicClass-valued tables; psi(c) is the point class [{c}, Id]."""
-
-    mode = "symbolic"
-
-    def __init__(self, pd: PlaceData):
-        from . import motivic
-
-        self.pd = pd
-        self._motivic = motivic
-
-    def zero(self):
-        return self._motivic.MotivicClass.zero(self.pd.base)
-
-    def one(self):
-        return self._motivic.MotivicClass.one(self.pd.base)
-
-    def psi_base(self, code: int):
-        return self._motivic.psi_class(self.pd.base.from_code(code))
-
-    def q_power(self, k: int):
-        return self._motivic.MotivicClass.one(self.pd.base).shift_L(k)
-
-    def scale(self, v, k: int):
-        return v.shift_L(k)
-
-
-def ops_for(pd: PlaceData, mode: str):
-    """The value ring of a mode at a place, built once per place."""
-    cache = getattr(pd, "_ops_cache", None)
-    if cache is None:
-        cache = pd._ops_cache = {}
-    ops = cache.get(mode)
-    if ops is None:
-        ops = cache[mode] = ExactOps(pd) if mode == "exact" else SymbolicOps(pd)
-    return ops
-
-
 # -- the transform engine -------------------------------------------------------
 
 
-def _kernel_matmul(pd: PlaceData, dtype) -> np.ndarray:
-    """The levelwise character transform as a (Q p, Q p) 0/1 matrix: row
-    a p + i, column b p + o is 1 where o = i + E[b, a] mod p, with E[b, a]
-    the exponent of psi(Tr(z_b z_a)).  Built once per place from E; the
-    float64 and object copies are made when a table of that dtype first
-    needs one."""
+def _value_group(field, mode: str):
+    """The group whose codes number a table's columns: F_p, the exponents
+    of the zeta-power basis, for an exact table; F_q, the point classes
+    e_c = [{c}, Id], for a symbolic one.  In both, psi(c) is the column of
+    T(c), with T the trace down to the group."""
+    return make_field(field.p) if mode == "exact" else field
+
+
+def _kernel_matmul(pd: PlaceData, dtype, group) -> np.ndarray:
+    """The levelwise character transform as a (Q G, Q G) 0/1 matrix over
+    the value group of G elements: row a G + i, column b G + o is 1 where
+    o = i + T(z_a z_b) in the group, with T the trace from k_u down to it.
+    At q = p both groups are F_p and share one matrix.  Built once per
+    place and group; the float64 and object copies are made when a table
+    of that dtype first needs one."""
     kernels = getattr(pd, "_kernel_matmul", None)
     if kernels is None:
-        Q, p = pd.ku.q, pd.base.p
-        codes = np.arange(Q)
-        E = np.array(pd.psi_exponents, dtype=np.int64)[pd.ku.mul_codes(codes[:, None], codes)]
-        # ker[a, i, b, o] = (i + E[b, a]) % p == o, in one broadcast
-        i = np.arange(p)[:, None, None]
-        ker = ((i + E.T[:, None, :, None]) % p == np.arange(p)).astype(np.int64)
-        kernels = pd._kernel_matmul = {ker.dtype: ker.reshape(Q * p, Q * p)}
-    got = kernels.get(dtype)
+        kernels = pd._kernel_matmul = {}
+    key = (group.e, np.dtype(dtype))
+    got = kernels.get(key)
     if got is None:
-        got = kernels[dtype] = kernels[np.dtype(np.int64)].astype(dtype)
+        if key[1] != np.int64:
+            got = _kernel_matmul(pd, np.int64, group).astype(dtype)
+        else:
+            ku, G = pd.ku, group.q
+            codes = np.arange(ku.q)
+            T = np.array(ku.trace_table(group.e), dtype=np.int64)[ku.mul_codes(codes[:, None], codes)]
+            # ker[a, i, b, o] = (i + T[a, b] == o), in one broadcast
+            out = group.add_codes(np.arange(G)[:, None], T[:, None, :])
+            got = (out[..., None] == np.arange(G)).astype(np.int64).reshape(ku.q * G, ku.q * G)
+        kernels[key] = got
     return got
 
 
@@ -436,54 +384,89 @@ def _int_to_values(arr, den: int, p: int):
     return out
 
 
+def _class_values(arr, lexp: int, field):
+    """Motivic classes of the rows of arr times L^lexp, one per distinct
+    row: row n is sum_c n_c e_c over the codes c of F_q."""
+    from .motivic import point_class_sum
+
+    memo: dict = {}
+    out = []
+    for row in map(tuple, arr.tolist()):
+        v = memo.get(row)
+        if v is None:
+            v = memo[row] = point_class_sum(field, row, lexp)
+        out.append(v)
+    return out
+
+
 def _table_of(values, p: int, mode: str):
-    """(arr, den) of a list of table values: exact values as integer rows,
-    symbolic ones as one object column over the denominator 1."""
-    if mode == "exact":
-        return _values_to_int(values, p)
-    col = np.empty((len(values), 1), dtype=object)
-    col[:, 0] = values
-    return col, 1
+    """(arr, den) of a list of exact table values.  Symbolic tables are
+    built only from integer rows: a general MotivicClass has no sound
+    vector over Z[F_q]."""
+    if mode != "exact":
+        raise ValueError("symbolic tables are built from integer rows, not from values")
+    return _values_to_int(values, p)
 
 
 class _Table:
-    """The storage of a dense table: row i of _arr, over _den, is entry i
-    on the basis zeta^0..zeta^(p-1), int64 below _INT64_GUARD and Python
-    ints past it; a symbolic table has one object column of MotivicClass
-    values and _den = 1.  Exact scalars are built only when read."""
+    """The storage of a dense table: row i of _arr is entry i as an integer
+    vector over the codes of the value group (_value_group), int64 below
+    _INT64_GUARD and Python ints past it.  An exact entry is its row over
+    zeta^0..zeta^(p-1) divided by _den; a symbolic entry is its row over
+    the point classes e_c times L^_lexp, one power of L for the whole
+    table.  Scalars and classes are built only when read."""
 
     _values = None
 
-    def _set_table(self, arr, den: int, p: int, mode: str):
-        self._arr, self._den, self._p, self.mode = arr, den, p, mode
+    def _set_table(self, arr, den: int, field, mode: str, lexp: int = 0):
+        self._arr, self._den, self._field, self.mode, self._lexp = arr, den, field, mode, lexp
+        self._group = _value_group(field, mode)
         self._values = None
+
+    def _entries(self, arr, den: int, lexp: int) -> list:
+        """The entries of the rows arr over den, or times L^lexp."""
+        if self.mode == "exact":
+            return _int_to_values(arr, den, self._field.p)
+        return _class_values(arr, lexp, self._field)
 
     @property
     def values(self) -> list:
-        """Every entry as a scalar, built on first access; do not mutate."""
+        """Every entry, built on first access; do not mutate."""
         if self._values is None:
-            if self.mode == "exact":
-                self._values = _int_to_values(self._arr, self._den, self._p)
-            else:
-                self._values = self._arr[:, 0].tolist()
+            self._values = self._entries(self._arr, self._den, self._lexp)
         return self._values
 
     def _value(self, idx: int):
         """Entry idx, building no other entry."""
         if self._values is not None:
             return self._values[idx]
-        if self.mode == "exact":
-            return _int_to_values(self._arr[idx : idx + 1], self._den, self._p)[0]
-        return self._arr[idx, 0]
+        return self._entries(self._arr[idx : idx + 1], self._den, self._lexp)[0]
+
+    def _times_q_power(self, arr, shift: int):
+        """(arr, den, lexp) of the rows arr, read as this table reads its
+        own, times q^shift: an exact table folds the power into its rows
+        and denominator, a symbolic one adds it to its power of L."""
+        if self.mode != "exact":
+            return arr, 1, self._lexp + shift
+        if shift <= 0:
+            return arr, self._den * self._field.q**-shift, 0
+        factor = self._field.q**shift
+        return _int64_or_object(arr, factor) * factor, self._den, 0
+
+    def _transformed(self, axes):
+        """(arr, den, lexp) of the table transformed on the given (place
+        data, window) axes, all of them, in order."""
+        arr, shift = _transform_table(self._arr, axes, self._group)
+        return self._times_q_power(arr, shift)
 
     def _shape(self) -> tuple:
         """What two tables must share to be equal or to be added."""
         raise NotImplementedError
 
     def _like(self, arr, den: int):
-        """A table of this shape and mode with the layout (arr, den)."""
+        """A table of this shape, mode and power of L with the rows arr."""
         out = copy.copy(self)
-        out._set_table(arr, den, self._p, self.mode)
+        out._set_table(arr, den, self._field, self.mode, self._lexp)
         return out
 
     def _rows(self, idx: np.ndarray):
@@ -491,14 +474,14 @@ class _Table:
         arr = self._arr
         if (idx < 0).any():
             # numpy reads -1 as the last row, so -1 must find the zero there
-            zero = np.zeros((1, arr.shape[1]), dtype=arr.dtype)
-            if self.mode != "exact":
-                zero[0, 0] = self._ops().zero()
-            arr = np.concatenate([arr, zero])
+            arr = np.concatenate([arr, np.zeros((1, arr.shape[1]), dtype=arr.dtype)])
         return arr[idx]
 
     def scaled(self, factor):
-        return self._like(*_table_of([v * factor for v in self.values], self._p, self.mode))
+        """The exact table times the scalar factor."""
+        if self.mode != "exact":
+            raise ValueError("only exact tables scale by a scalar")
+        return self._like(*_values_to_int([v * factor for v in self.values], self._field.p))
 
     def __add__(self, other):
         if (
@@ -508,32 +491,41 @@ class _Table:
             or other._arr.shape != self._arr.shape
         ):
             raise ValueError("incompatible test functions")
-        values = [a + b for a, b in zip(self.values, other.values)]
-        return self._like(*_table_of(values, self._p, self.mode))
+        if self.mode == "exact":
+            values = [a + b for a, b in zip(self.values, other.values)]
+            return self._like(*_values_to_int(values, self._field.p))
+        if other._lexp != self._lexp:
+            raise ValueError("symbolic tables with different powers of L")
+        return self._like(_int64_or_object(self._arr, 2) + _int64_or_object(other._arr, 2), 1)
 
     def table_equal(self, other) -> bool:
-        return self._shape() == other._shape() and all(
-            a == b for a, b in zip(self.values, other.values)
-        )
+        """Equal shapes and entries.  Symbolic tables compare their integer
+        rows and powers of L literally, which is sound: equal vectors are
+        equal classes."""
+        if self._shape() != other._shape() or other.mode != self.mode:
+            return False
+        if self.mode == "exact":
+            return all(a == b for a, b in zip(self.values, other.values))
+        return other._lexp == self._lexp and np.array_equal(self._arr, other._arr)
 
 
-def _contract_levels(arr, pd: PlaceData, K: int):
+def _contract_levels(arr, pd: PlaceData, K: int, group):
     """The character transform over k_u on the K level axes that lead arr,
-    rows over the zeta-power basis viewed as (Q**K, rest, p): G[.., b] =
-    sum_a arr[a, ..] psi(Tr(z_b z_a)) per level, shaped (rest, Q**K, p).
-    Each level is one rotation: its axis leaves the front and its
-    transform lands last, so after K levels the jet axis sits last, in
-    order.  The caller picks the dtype by _contraction_input, since each
-    level multiplies max|entry| by Q; a float64 table comes back as int64,
-    so the result is int64 or object."""
-    p, Q = pd.base.p, pd.ku.q
-    ker = _kernel_matmul(pd, arr.dtype)
-    work = arr.reshape(Q**K, -1, p)
+    rows over the codes of the value group (G of them) viewed as
+    (Q**K, rest, G): H[.., b] = sum_a arr[a, ..] psi(Tr(z_b z_a)) per level,
+    shaped (rest, Q**K, G).  Each level is one rotation: its axis leaves
+    the front and its transform lands last, so after K levels the jet axis
+    sits last, in order.  The caller picks the dtype by _contraction_input,
+    since each level multiplies max|entry| by Q; a float64 table comes back
+    as int64, so the result is int64 or object."""
+    G, Q = group.q, pd.ku.q
+    ker = _kernel_matmul(pd, arr.dtype, group)
+    work = arr.reshape(Q**K, -1, G)
     for _ in range(K):
-        work = work.reshape(Q, -1, p).transpose(1, 0, 2).reshape(-1, Q * p) @ ker
+        work = work.reshape(Q, -1, G).transpose(1, 0, 2).reshape(-1, Q * G) @ ker
     if work.dtype == np.float64:
         work = work.astype(np.int64)
-    return work.reshape(-1, Q**K, p)
+    return work.reshape(-1, Q**K, G)
 
 
 def _dual_gather_index(pd: PlaceData, win: Window) -> np.ndarray:
@@ -562,74 +554,31 @@ def _dual_gather_index(pd: PlaceData, win: Window) -> np.ndarray:
     return g_idx
 
 
-def _rep_axis_transform(arr, den: int, pd: PlaceData, win: Window):
-    """The leading jet-space axis of the integer table arr / den, transformed
-    onto the dual window and moved last: (arr, den) with the other axes in
-    their order in front.  The contraction runs in float64 or int64 while
-    the sums provably fit and in Python ints otherwise; its result is
-    int64 or object."""
-    p = pd.base.p
-    K = win.levels
-    scale = Fraction(pd.base.q) ** (pd.d * (pd.nu // 2 - win.M))
-    arr = _contraction_input(arr, pd.ku.q**K * 4 * scale.numerator, pd.ku.q * p)
-    out = _contract_levels(arr, pd, K)[:, _dual_gather_index(pd, win)]
-    if scale.numerator != 1:
-        out = out * scale.numerator
-    return out.reshape(-1, p), den * scale.denominator
+def _rep_axis_transform(arr, pd: PlaceData, win: Window, group):
+    """The leading jet-space axis of the integer table arr, rows over the
+    value group's codes, transformed onto the dual window and moved last,
+    with the other axes in their order in front: sum_y arr[y] psi(r(x y))
+    without the transform's power of q, which the caller applies.  The
+    contraction runs in float64 or int64 while the sums provably fit and
+    in Python ints otherwise; its result is int64 or object."""
+    G, Q = group.q, pd.ku.q
+    arr = _contraction_input(arr, Q**win.levels * 4, Q * G)
+    out = _contract_levels(arr, pd, win.levels, group)[:, _dual_gather_index(pd, win)]
+    return out.reshape(-1, G)
 
 
-def _transform_table(arr, den: int, axes):
-    """The placewise transform of the integer table arr / den on the given
-    (place data, window) axes, in order: (arr, den) on the dual windows.
-    Each axis leaves the front and lands last, so once every axis has gone
-    through, the axes are back in their order."""
+def _transform_table(arr, axes, group):
+    """The placewise transform of the integer table arr, rows over the
+    value group's codes, on the given (place data, window) axes, in order:
+    (rows on the dual windows, the transform's power of q, the sum of
+    d (nu/2 - M) over the axes).  Each axis leaves the front and lands
+    last, so once every axis has gone through, the axes are back in their
+    order."""
+    shift = 0
     for pd, win in axes:
-        arr, den = _rep_axis_transform(arr, den, pd, win)
-    return arr, den
-
-
-def _generic_axis_transform(values, ops, pd: PlaceData, win: Window, pre: int, post: int):
-    """Direct double-sum transform; works for any value ring."""
-    nu = pd.nu
-    dual = win.dual(nu)
-    Q = pd.ku.q
-    K = win.levels
-    D = Q**K
-    W = pairing_matrix(pd, dual, win)
-    tr = pd.trace_to_base_codes
-    mul_code, add_code = pd.ku.mul_code, pd.ku.add_code
-    # psi(r(x y)) for jet index pairs, via the bilinear coefficient matrix
-    in_digits = _digit_matrix(Q, K).tolist()
-    kernel_exp = [[0] * D for _ in range(D)]
-    for xi in range(D):
-        xd = in_digits[xi]
-        for yi in range(D):
-            yd = in_digits[yi]
-            acc = 0
-            for i in range(K):
-                xc = xd[i]
-                if xc:
-                    row = W[i]
-                    for j in range(K):
-                        wc = row[j]
-                        if wc and yd[j]:
-                            acc = add_code(acc, mul_code(mul_code(xc, wc), yd[j]))
-            kernel_exp[xi][yi] = tr[acc]
-    psi_vals = [ops.psi_base(c) for c in range(pd.base.q)]
-    shift = pd.d * (nu // 2 - win.M)
-    out = []
-    block = D * post
-    for x in range(pre):
-        base_off = x * block
-        for xi in range(D):
-            for y in range(post):
-                acc = ops.zero()
-                row = kernel_exp[xi]
-                for yi in range(D):
-                    v = values[base_off + yi * post + y]
-                    acc = acc + v * psi_vals[row[yi]]
-                out.append(ops.scale(acc, shift))
-    return out, dual
+        arr = _rep_axis_transform(arr, pd, win, group)
+        shift += pd.d * (pd.nu // 2 - win.M)
+    return arr, shift
 
 
 def _check_transformable(pd: PlaceData, win: Window):
@@ -665,22 +614,19 @@ class LocalTestFunction(_Table):
         self.pd = pd
         self.window = window
         self.arity = arity
-        self._set_table(*_table_of(values, pd.base.p, mode), pd.base.p, mode)
+        self._set_table(*_table_of(values, pd.base.p, mode), pd.base, mode)
         self._values = values
 
     @classmethod
-    def _from_table(cls, pd, window, arity, arr, den, mode="exact"):
+    def _from_table(cls, pd, window, arity, arr, den, mode="exact", lexp=0):
         """A table given in the _Table layout, taken as it is."""
         phi = cls.__new__(cls)
         phi.pd, phi.window, phi.arity = pd, window, arity
-        phi._set_table(arr, den, pd.base.p, mode)
+        phi._set_table(arr, den, pd.base, mode, lexp)
         return phi
 
     def _shape(self) -> tuple:
         return (self.window, self.arity)
-
-    def _ops(self):
-        return ops_for(self.pd, self.mode)
 
     # -- constructors --------------------------------------------------------
 
@@ -697,36 +643,25 @@ class LocalTestFunction(_Table):
     @classmethod
     def indicator_integral(cls, pd, window, arity=1, mode="exact"):
         """1 on (O)^arity cap window, 0 elsewhere."""
-        ops = ops_for(pd, mode)
-        one, zero = ops.one(), ops.zero()
-
-        def fn(*jets):
-            for jet in jets:
-                for lev in range(-window.N, 0):
-                    if not jet.coeff(lev).is_zero():
-                        return zero
-            return one
-
-        return cls.from_function(pd, window, fn, arity, mode)
+        size = _cell_count(pd, window, arity)
+        # a jet is integral when its leading N pole levels, its leading
+        # digits, are zero
+        integral = np.arange(jet_space_size(pd, window)) < pd.ku.q**window.M
+        mask = np.ones(1, dtype=bool)
+        for _ in range(arity):
+            mask = np.logical_and.outer(mask, integral).reshape(-1)
+        arr = np.zeros((size, _value_group(pd.base, mode).q), dtype=np.int64)
+        arr[:, 0] = mask
+        return cls._from_table(pd, window, arity, arr, 1, mode)
 
     @classmethod
     def delta(cls, pd, window, jet_index: int, mode="exact"):
         D = jet_space_size(pd, window)
         if not 0 <= jet_index < D:
             raise ValueError(f"delta jet index {jet_index} outside [0, {D})")
-        if mode == "exact":
-            arr = np.zeros((D, pd.base.p), dtype=np.int64)
-            arr[jet_index, 0] = 1
-            return cls._from_table(pd, window, 1, arr, 1)
-        ops = ops_for(pd, mode)
-        vals = [ops.zero()] * D
-        vals[jet_index] = ops.one()
-        return cls(pd, window, 1, vals, mode)
-
-    @classmethod
-    def zero_function(cls, pd, window, arity=1, mode="exact"):
-        ops = ops_for(pd, mode)
-        return cls(pd, window, arity, [ops.zero()] * _cell_count(pd, window, arity), mode)
+        arr = np.zeros((D, _value_group(pd.base, mode).q), dtype=np.int64)
+        arr[jet_index, 0] = 1
+        return cls._from_table(pd, window, 1, arr, 1, mode)
 
     # -- table access -----------------------------------------------------------
 
@@ -741,11 +676,8 @@ class LocalTestFunction(_Table):
 
 def integrate(phi: LocalTestFunction):
     """L^(-M) normalized sum per coordinate: q^(-d M m) * sum of the table."""
-    ops = ops_for(phi.pd, phi.mode)
-    acc = ops.zero()
-    for v in phi.values:
-        acc = acc + v
-    return ops.scale(acc, -phi.pd.d * phi.window.M * phi.arity)
+    total = _int64_or_object(phi._arr, len(phi._arr)).sum(axis=0, keepdims=True)
+    return phi._entries(*phi._times_q_power(total, -phi.pd.d * phi.window.M * phi.arity))[0]
 
 
 def _reindexed(phi: LocalTestFunction, window: Window, look) -> LocalTestFunction:
@@ -753,7 +685,9 @@ def _reindexed(phi: LocalTestFunction, window: Window, look) -> LocalTestFunctio
     coordinate axis; a look of -1 reads zero."""
     D = jet_space_size(phi.pd, phi.window)
     rows = phi._rows(_lookup_index([D] * phi.arity, [look] * phi.arity))
-    return LocalTestFunction._from_table(phi.pd, window, phi.arity, rows, phi._den, phi.mode)
+    return LocalTestFunction._from_table(
+        phi.pd, window, phi.arity, rows, phi._den, phi.mode, phi._lexp
+    )
 
 
 def extend_zero(phi: LocalTestFunction, new_N: int) -> LocalTestFunction:
@@ -799,15 +733,5 @@ def fourier_multi(phi: LocalTestFunction) -> LocalTestFunction:
     """Transform all coordinates, one axis at a time."""
     pd, win = phi.pd, phi.window
     _check_transformable(pd, win)
-    D = jet_space_size(pd, win)
-    dual = win.dual(pd.nu)
-    if phi.mode == "exact":
-        arr, den = _transform_table(phi._arr, phi._den, [(pd, win)] * phi.arity)
-        return LocalTestFunction._from_table(pd, dual, phi.arity, arr, den)
-    ops = ops_for(pd, phi.mode)
-    values = phi.values
-    for axis in range(phi.arity):
-        pre = D**axis
-        post = D ** (phi.arity - axis - 1)
-        values, _ = _generic_axis_transform(values, ops, pd, win, pre, post)
-    return LocalTestFunction(pd, dual, phi.arity, values, phi.mode)
+    arr, den, lexp = phi._transformed([(pd, win)] * phi.arity)
+    return LocalTestFunction._from_table(pd, win.dual(pd.nu), phi.arity, arr, den, phi.mode, lexp)

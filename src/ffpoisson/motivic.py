@@ -255,6 +255,17 @@ def psi_class(c: FieldElem) -> MotivicClass:
     return MotivicClass.generator(X, MPoly.var(field, 1, 0))
 
 
+def point_class_sum(field, counts, lshift: int = 0) -> MotivicClass:
+    """sum_c counts[c] [{c}, Id] times L^lshift, over the codes c of F_q:
+    the class of an integer vector over the group ring Z[F_q]."""
+    terms = []
+    for c, n in enumerate(counts):
+        if n:
+            ((_, X, h),) = psi_class(field.from_code(c)).terms
+            terms.append((n, X, h))
+    return MotivicClass(field, terms, lshift)
+
+
 def indistinguishable_up_to(a: MotivicClass, b: MotivicClass, D: int = 3) -> bool:
     """Semi-decision for equality: compare specializations at d = 1..D."""
     return all(a.specialize(d) == b.specialize(d) for d in range(1, D + 1))

@@ -331,11 +331,6 @@ class PlaceData:
         """trace k_u -> F_q as a code table."""
         return self.ku.trace_table(self.base.e)
 
-    @property
-    def psi_exponents(self) -> list[int]:
-        """lift of the absolute trace k_u -> F_p as a code table."""
-        return self.ku.trace_table(1)
-
     def __repr__(self):
         return f"PlaceData({self.label})"
 

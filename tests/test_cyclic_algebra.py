@@ -22,10 +22,7 @@ from ffpoisson.cyclic_algebra import (
     integral_test,
     invariant_fn,
     invariant_records,
-    jet_from_index,
     jet_index,
-    matched_pair,
-    matched_pair_L,
     random_unit_jet,
     reduced_char_polys,
     reduced_trace,
@@ -36,8 +33,8 @@ from ffpoisson.cyclic_algebra import (
     w_valuation,
 )
 from ffpoisson import cyclic_algebra
-from ffpoisson.cyclic_algebra import _perm_sign
-from ffpoisson.localfield import Window, _int64_or_object, _values_to_int
+from ffpoisson.cyclic_algebra import _bs_element, _matched_pairs, _perm_sign
+from ffpoisson.localfield import Window, _int64_or_object, _to_digits, _values_to_int
 from ffpoisson.place import Place
 from ffpoisson.poly import Poly, RationalFn
 from ffpoisson.scalars import CycScalar, cyc_normalize, make_field
@@ -45,6 +42,25 @@ from ffpoisson.scalars import CycScalar, cyc_normalize, make_field
 F2 = make_field(2)
 D3 = AlgebraDescriptor(F2, 3, 1)
 D3dot = AlgebraDescriptor(F2, 3, 2)
+
+
+def jet_from_index(desc, lo, hi, idx):
+    """The jet of the w-window [lo, hi) with the given jet_index."""
+    return AlgebraJet(desc, lo, hi, _to_digits(idx, desc.L.q, hi - lo))
+
+
+def matched_pair(desc, desc_dot, b):
+    """The orbit-map pair (b s, b s-dot) for b in L^*, as one batch."""
+    bcodes = desc.coords(b)
+    return _matched_pairs(
+        desc, desc_dot, "bs-form", [_bs_element(desc, bcodes)], [_bs_element(desc_dot, bcodes)]
+    )[0]
+
+
+def matched_pair_L(desc, desc_dot, coeff_vector):
+    """The pair of one common element of L(F_q(t)), as one batch."""
+    c, c_dot = AlgebraElement.from_L(desc, coeff_vector), AlgebraElement.from_L(desc_dot, coeff_vector)
+    return _matched_pairs(desc, desc_dot, "L-common", [c], [c_dot])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +195,7 @@ def fourier_D_value(phi, out_jet):
         )
     K = phi.hi - phi.lo
     D = L.q**K
-    psi_exp = desc.L_place_data().psi_exponents
+    psi_exp = L.trace_table(1)
     # per input level j: the x-level -n-j pairs with it, after the Galois
     # twist g^(j mod n) of x's digit
     level_exp = {}

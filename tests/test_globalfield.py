@@ -396,11 +396,30 @@ def test_global_fourier_zero():
 
 
 def test_global_fourier_symbolic_specializes_to_exact():
-    # symbolic tables take the direct sums, exact ones the integer engine
+    # both modes run through the one engine, over F_q and over F_p
     exact = global_fourier(indicator_everywhere_integral(F2, [P0, PI2]))
     sym = global_fourier(indicator_everywhere_integral(F2, [P0, PI2], mode="symbolic"))
     assert sym.support() == exact.support()
     assert [v.specialize(1) for v in sym.values] == exact.values
+
+
+def test_symbolic_tables_built_apart_are_equal():
+    # equal integer rows and powers of L: equal tables, although every
+    # MotivicClass read from them is a new object
+    a = indicator_everywhere_integral(F2, [INF2, P0], mode="symbolic")
+    b = indicator_everywhere_integral(F2, [P0, INF2], mode="symbolic")
+    assert a.values[0] is not b.values[0]
+    assert a.table_equal(b)
+    assert global_fourier(a).table_equal(global_fourier(b))
+    assert not a.table_equal(indicator_everywhere_integral(F2, [INF2, P0]))
+    with pytest.raises(ValueError):
+        GlobalTestFunction(F2, a.support(), 1, a.values, "symbolic")
+    lifted = GlobalTestFunction._from_table(F2, a.support(), 1, a._arr, 1, "symbolic", 1)
+    with pytest.raises(ValueError):
+        a + lifted  # the same support, another power of L
+    assert (lifted + lifted).table_equal(
+        GlobalTestFunction._from_table(F2, a.support(), 1, 2 * a._arr, 1, "symbolic", 1)
+    )
 
 
 def test_global_double_transform_is_flip():
@@ -759,29 +778,24 @@ def test_mixed_radix_index_against_digits():
     ]
 
 
-@pytest.mark.parametrize("field", [F2, F3])
-def test_mult_by_residue_character_cellwise(field):
-    # every cell against psi(sum_u r_u(a x_u)), with x_u read off a Laurent
-    # polynomial in the place's uniformizer that has the cell's jet
+def _residue_character(field):
+    """(a, support, exps): a = 1/t + t, with simple poles at 0 and at inf,
+    a support at those places deep enough for psi(sum_u r_u(a x_u)), and
+    per place the map jet index -> r_u(a x_u), with x_u read off a Laurent
+    polynomial in the place's uniformizer that has the jet."""
     from ffpoisson.localfield import residue_trace
-    from ffpoisson.scalars import psi
 
-    p = field.p
     t = RationalFn.t(field)
     inv_t = RationalFn(Poly.one(field), Poly.x(field))
-    a = inv_t + t  # simple poles at 0 and at inf
+    a = inv_t + t
     inf, zero = Place.infinity(field), Place.at(field, 0)
     support = [(inf, Window(1, 3)), (zero, Window(1, 1))]
-    sizes = [jet_space_size(place_data(u), w) for u, w in support]
-    phi = GlobalTestFunction(field, support, 1, [CycScalar.one(p)] * (sizes[0] * sizes[1]))
-    out = mult_by_residue_character(phi, a)
-    assert out.support() == support
-    consts = [RationalFn.constant(field, field.from_code(c)) for c in range(p)]
+    consts = [RationalFn.constant(field, field.from_code(c)) for c in range(field.q)]
     exps = []
     for (u, w), s, s_inv in zip(support, (inv_t, t), (t, inv_t)):
         pd = place_data(u)
         exp = {}
-        for digits in itertools.product(range(p), repeat=w.levels):
+        for digits in itertools.product(range(field.q), repeat=w.levels):
             f = RationalFn.zero(field)
             for k, c in zip(range(-w.N, w.M), digits):
                 mono = consts[c]
@@ -791,6 +805,37 @@ def test_mult_by_residue_character_cellwise(field):
             exp[jet_to_index(jet_at(f, u, w))] = residue_trace(a * f, pd)
         assert len(exp) == jet_space_size(pd, w)
         exps.append(exp)
+    return a, support, exps
+
+
+@pytest.mark.parametrize("field", [F2, F3])
+def test_mult_by_residue_character_cellwise(field):
+    # every cell against psi(sum_u r_u(a x_u))
+    from ffpoisson.scalars import psi
+
+    a, support, exps = _residue_character(field)
+    sizes = [jet_space_size(place_data(u), w) for u, w in support]
+    phi = GlobalTestFunction(field, support, 1, [CycScalar.one(field.p)] * (sizes[0] * sizes[1]))
+    out = mult_by_residue_character(phi, a)
+    assert out.support() == support
     for idx, v in enumerate(out.values):
         x_inf, x_0 = divmod(idx, sizes[1])
         assert v == psi(exps[0][x_inf] + exps[1][x_0]), idx
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_mult_by_residue_character_translates_symbolic_rows(q):
+    # times psi(c) = e_c the coefficient of e_g moves to e_(g + c): each row
+    # is translated in F_q by its cell's c, and the power of L stays
+    field = make_field(q, 1) if q == 3 else make_field(2, 2)
+    a, support, exps = _residue_character(field)
+    sizes = [jet_space_size(place_data(u), w) for u, w in support]
+    rng = random.Random(q)
+    rows = np.array([[rng.randrange(-3, 4) for _ in range(q)] for _ in range(sizes[0] * sizes[1])])
+    phi = GlobalTestFunction._from_table(field, support, 1, rows, 1, "symbolic", 1)
+    out = mult_by_residue_character(phi, a)
+    assert out.support() == support and out._lexp == 1
+    for idx in range(len(rows)):
+        x_inf, x_0 = divmod(idx, sizes[1])
+        c = (exps[0][x_inf] + exps[1][x_0]).code
+        assert [out._arr[idx, field.add_code(g, c)] for g in range(q)] == rows[idx].tolist(), idx

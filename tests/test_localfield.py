@@ -10,9 +10,10 @@ from ffpoisson.localfield import (
     JetVector,
     LocalTestFunction,
     Window,
-    _generic_axis_transform,
+    _from_digits,
     _int_to_values,
     _table_of,
+    _to_digits,
     _transform_table,
     extend_zero,
     fourier1,
@@ -21,14 +22,13 @@ from ffpoisson.localfield import (
     integrate,
     jet_space_size,
     jet_to_index,
-    ops_for,
     pairing_matrix,
     refine,
     residue,
     residue_trace,
     restrict,
 )
-from ffpoisson.motivic import MotivicClass
+from ffpoisson.motivic import MotivicClass, psi_class
 from ffpoisson.place import Place, PlaceData, place_data
 from ffpoisson.poly import Poly, RationalFn
 from ffpoisson.scalars import CycScalar, FieldElem, make_field
@@ -58,14 +58,24 @@ def residue_pair(x: JetVector, y: JetVector) -> FieldElem:
     return pd.base.from_code(pd.trace_to_base_codes[acc])
 
 
+def _value_ring(base, mode):
+    """(zero, psi(c) at every code c, v -> v q^k) of a value mode over the
+    base field: the arithmetic of the per-cell oracles."""
+    if mode == "exact":
+        tr = base.trace_table(1)
+        psi_vals = [CycScalar.zeta_power(base.p, tr[c]) for c in range(base.q)]
+        return CycScalar.zero(base.p), psi_vals, lambda v, k: v * Fraction(base.q) ** k
+    psi_vals = [psi_class(base.from_code(c)) for c in range(base.q)]
+    return MotivicClass.zero(base), psi_vals, lambda v, k: v.shift_L(k)
+
+
 def _direct_table_transform(values, axes):
     """sum_y phi(y) prod_k psi(r_k(x_k y_k)) q^(d_k (nu_k/2 - M_k)) at every
     x on the dual windows, straight from the definition: the oracle for a
     table over several (place data, window) axes, the first most
     significant."""
     base = axes[0][0].base
-    ops = ops_for(axes[0][0], "exact")
-    psi_vals = [ops.psi_base(c) for c in range(base.q)]
+    zero, psi_vals, scale = _value_ring(base, "exact")
     sizes = [jet_space_size(pd, w) for pd, w in axes]
 
     def jets_of(idx, dual):
@@ -80,13 +90,13 @@ def _direct_table_transform(values, axes):
     out = []
     for xidx in range(len(values)):
         xs = jets_of(xidx, True)
-        acc = ops.zero()
+        acc = zero
         for v, yjets in zip(values, ys):
             e = 0
             for x, y in zip(xs, yjets):
                 e = base.add_code(e, residue_pair(x, y).code)
             acc = acc + v * psi_vals[e]
-        out.append(ops.scale(acc, shift))
+        out.append(scale(acc, shift))
     return out
 
 
@@ -189,7 +199,7 @@ def test_extend_zero_preserves_integral():
 
 def test_refine_zero_function():
     pd = synth(F2)
-    z = LocalTestFunction.zero_function(pd, Window(1, 1))
+    z = LocalTestFunction(pd, Window(1, 1), 1, [CycScalar.zero(2)] * 4)
     r = refine(z, 3)
     assert all(v.is_zero() for v in r.values)
 
@@ -226,79 +236,71 @@ def test_window_shrink_rejected():
 
 
 # The per-cell definitions of the level moves: each builds every jet of the
-# new window and reads phi at the jet it maps to.
+# new window and copies the row of phi at the jet it maps to, or a zero row,
+# so one oracle serves both value modes.
+
+
+def _by_cells(phi, new_win, old_jet):
+    """The table on new_win whose cell at jets (x_1, .., x_m) holds phi's
+    row at (old_jet(x_1), .., old_jet(x_m)), or zero where one is None."""
+    pd, D = phi.pd, jet_space_size(phi.pd, new_win)
+    D_old = jet_space_size(pd, phi.window)
+    jets = [index_to_jet(pd, new_win, j) for j in range(D)]
+    rows = np.zeros((D**phi.arity, phi._arr.shape[1]), dtype=phi._arr.dtype)
+    for idx in range(D**phi.arity):
+        old = [old_jet(jets[j]) for j in _to_digits(idx, D, phi.arity)]
+        if None not in old:
+            rows[idx] = phi._arr[_from_digits([jet_to_index(jet) for jet in old], D_old)]
+    return LocalTestFunction._from_table(pd, new_win, phi.arity, rows, phi._den, phi.mode, phi._lexp)
 
 
 def _extend_zero_by_cells(phi, new_N):
-    ops = ops_for(phi.pd, phi.mode)
     extra = new_N - phi.window.N
 
-    def fn(*jets):
-        old_jets = []
-        for jet in jets:
-            for lev in range(-new_N, -phi.window.N):
-                if not jet.coeff(lev).is_zero():
-                    return ops.zero()
-            old_jets.append(JetVector(phi.pd, phi.window, jet.coeffs[extra:]))
-        return phi.value_at(*old_jets)
+    def old_jet(jet):
+        if any(not c.is_zero() for c in jet.coeffs[:extra]):
+            return None
+        return JetVector(phi.pd, phi.window, jet.coeffs[extra:])
 
-    new_win = Window(new_N, phi.window.M)
-    return LocalTestFunction.from_function(phi.pd, new_win, fn, phi.arity, phi.mode)
+    return _by_cells(phi, Window(new_N, phi.window.M), old_jet)
 
 
 def _refine_by_cells(phi, new_M):
-    def fn(*jets):
-        old = [JetVector(phi.pd, phi.window, jet.coeffs[: phi.window.levels]) for jet in jets]
-        return phi.value_at(*old)
+    def old_jet(jet):
+        return JetVector(phi.pd, phi.window, jet.coeffs[: phi.window.levels])
 
-    new_win = Window(phi.window.N, new_M)
-    return LocalTestFunction.from_function(phi.pd, new_win, fn, phi.arity, phi.mode)
+    return _by_cells(phi, Window(phi.window.N, new_M), old_jet)
 
 
 def _restrict_by_cells(phi, new_M):
     zero_tail = (phi.pd.ku.zero(),) * (phi.window.M - new_M)
 
-    def fn(*jets):
-        lifted = [JetVector(phi.pd, phi.window, jet.coeffs + zero_tail) for jet in jets]
-        return phi.value_at(*lifted)
+    def old_jet(jet):
+        return JetVector(phi.pd, phi.window, jet.coeffs + zero_tail)
 
-    new_win = Window(phi.window.N, new_M)
-    return LocalTestFunction.from_function(phi.pd, new_win, fn, phi.arity, phi.mode)
+    return _by_cells(phi, Window(phi.window.N, new_M), old_jet)
 
 
 def _random_table(pd, win, arity, mode, seed):
-    """Random values, a quarter of them zero but never the last, which a
-    -1 read as the last row would find; symbolic ones are shifted point
-    classes."""
+    """Random entries, a quarter of them zero but never the last, which a
+    -1 read as the last row would find: exact scalars, or symbolic integer
+    vectors over Z[F_q] with one random power of L for the table."""
     rng = random.Random(seed)
-    ops = ops_for(pd, mode)
     size = jet_space_size(pd, win) ** arity
-    p = pd.base.p
+    p, q = pd.base.p, pd.base.q
+    zeros = rng.sample(range(size - 1), size // 4)
     if mode == "exact":
         vals = [
             CycScalar(p, [Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)) for _ in range(p - 1)])
             for _ in range(size)
         ]
-    else:
-        vals = [
-            ops.psi_base(rng.randrange(pd.base.q)).shift_L(rng.randrange(-1, 2))
-            for _ in range(size)
-        ]
-    for k in rng.sample(range(size - 1), size // 4):
-        vals[k] = ops.zero()
-    return LocalTestFunction(pd, win, arity, vals, mode)
-
-
-def _entries(phi):
-    """The table's entries, comparable: a MotivicClass compares by identity,
-    so a symbolic entry is read as its presentation."""
-    if phi.mode == "exact":
-        return phi.values
-    return [(v.terms, v.lshift) for v in phi.values]
-
-
-def _same_table(a, b):
-    return a.window == b.window and a.arity == b.arity and _entries(a) == _entries(b)
+        for k in zeros:
+            vals[k] = CycScalar.zero(p)
+        return LocalTestFunction(pd, win, arity, vals)
+    rows = np.array([[rng.randrange(-3, 4) for _ in range(q)] for _ in range(size)], dtype=np.int64)
+    rows[size - 1, rng.randrange(q)] = 1
+    rows[zeros] = 0
+    return LocalTestFunction._from_table(pd, win, arity, rows, 1, mode, rng.randrange(-1, 2))
 
 
 @pytest.mark.parametrize("mode", ["exact", "symbolic"])
@@ -307,13 +309,13 @@ def _same_table(a, b):
 def test_level_moves_match_the_per_cell_oracles(p, d, win, steps, arity, mode):
     pd = synth(make_field(p), d)
     phi = _random_table(pd, win, arity, mode, seed=p + 10 * arity)
-    assert _same_table(extend_zero(phi, win.N + steps), _extend_zero_by_cells(phi, win.N + steps))
-    assert _same_table(refine(phi, win.M + steps), _refine_by_cells(phi, win.M + steps))
+    assert extend_zero(phi, win.N + steps).table_equal(_extend_zero_by_cells(phi, win.N + steps))
+    assert refine(phi, win.M + steps).table_equal(_refine_by_cells(phi, win.M + steps))
     # a table that is not constant on the forgotten cosets: restrict still
     # reads the lift with zero trailing levels
     deep = _random_table(pd, Window(win.N, win.M + steps), arity, mode, seed=p + 20 * arity)
-    assert _same_table(restrict(deep, win.M), _restrict_by_cells(deep, win.M))
-    assert _same_table(restrict(refine(phi, win.M + steps), win.M), phi)
+    assert restrict(deep, win.M).table_equal(_restrict_by_cells(deep, win.M))
+    assert restrict(refine(phi, win.M + steps), win.M).table_equal(phi)
 
 
 @pytest.mark.parametrize("d,arity", [(1, 1), (1, 2), (2, 1)])
@@ -499,12 +501,34 @@ def _big_table(p, size, kind, seed):
     return vals
 
 
-def _generic_table_transform(values, axes):
+def _generic_axis_transform(values, mode, pd, win, pre, post):
+    """The transform of one jet axis, with pre cells before it and post
+    after, as a direct double sum over every pair of jets: the per-cell
+    oracle of either value mode."""
+    zero, psi_vals, scale = _value_ring(pd.base, mode)
+    dual = win.dual(pd.nu)
+    D = jet_space_size(pd, win)
+    # psi(r(x y)) for jet index pairs, through the pairing's digits
+    kernel = [
+        [residue_pair(index_to_jet(pd, dual, x), index_to_jet(pd, win, y)).code for y in range(D)]
+        for x in range(D)
+    ]
+    shift = pd.d * (pd.nu // 2 - win.M)
+    out = []
+    for x in range(pre):
+        for xi in range(D):
+            for y in range(post):
+                acc = zero
+                for yi in range(D):
+                    acc = acc + values[(x * D + yi) * post + y] * psi_vals[kernel[xi][yi]]
+                out.append(scale(acc, shift))
+    return out
+
+
+def _generic_table_transform(values, axes, mode="exact"):
     sizes = [jet_space_size(pd, w) for pd, w in axes]
     for k, (pd, w) in enumerate(axes):
-        values, _ = _generic_axis_transform(
-            values, ops_for(pd, "exact"), pd, w, prod(sizes[:k]), prod(sizes[k + 1 :])
-        )
+        values = _generic_axis_transform(values, mode, pd, w, prod(sizes[:k]), prod(sizes[k + 1 :]))
     return values
 
 
@@ -557,14 +581,23 @@ def test_fourier_switches_to_python_ints_between_axes(monkeypatch):
     monkeypatch.setattr(localfield, "_contract_levels", spy)
     fourier_multi(LocalTestFunction.delta(pd, win, 3))
     # the kernel's object copy is made only once an object table arrives
-    assert list(pd._kernel_matmul) == [np.dtype(np.int64)]
+    assert list(pd._kernel_matmul) == [(1, np.dtype(np.int64))]
     dtypes.clear()
     out = fourier_multi(phi)
     assert dtypes == [np.dtype(np.int64), np.dtype(object)]
-    assert list(pd._kernel_matmul) == [np.dtype(np.int64), np.dtype(object)]
+    assert list(pd._kernel_matmul) == [(1, np.dtype(np.int64)), (1, np.dtype(object))]
     assert out.table_equal(fourier_direct(phi))
     assert out.table_equal(_generic_exact(phi))
     assert fourier_multi(out).table_equal(phi)  # char 2: -x = x
+
+
+def _engine_transform(values, axes):
+    """The exact values transformed by _transform_table on their integer
+    rows, the transform's power of q applied to the scalars read back."""
+    base = axes[0][0].base
+    arr, den = _table_of(values, base.p, "exact")
+    arr, shift = _transform_table(arr, axes, make_field(base.p))
+    return [v * Fraction(base.q) ** shift for v in _int_to_values(arr, den, base.p)]
 
 
 def _small_table(p, size, seed):
@@ -615,8 +648,7 @@ def test_transform_table_matches_oracles(axes, kind):
         values = _small_table(p, size, seed=size)
     else:
         values = _big_table(p, size, kind, seed=size)
-    arr, den = _transform_table(*_table_of(values, p, "exact"), axes)
-    got = _int_to_values(arr, den, p)
+    got = _engine_transform(values, axes)
     assert got == _direct_table_transform(values, axes)
     assert got == _generic_table_transform(values, axes)
 
@@ -685,7 +717,7 @@ def test_contraction_tiers_at_their_bounds(p, d, win, bound, limit, dtype, contr
     phi = LocalTestFunction(pd, win, 1, _odd_table(p, D, top, seed=top % 997))
     out = fourier_multi(phi)
     assert contraction_dtypes == [np.dtype(dtype)]
-    assert list(pd._kernel_matmul) == list(dict.fromkeys([np.dtype(np.int64), np.dtype(dtype)]))
+    assert list(pd._kernel_matmul) == list(dict.fromkeys([(1, np.dtype(np.int64)), (1, np.dtype(dtype))]))
     assert out._arr.dtype == np.int64
     assert out.table_equal(fourier_direct(phi))
     assert out.table_equal(_generic_exact(phi))
@@ -701,7 +733,7 @@ def test_small_contraction_stays_int64_below_the_float_bound(p, contraction_dtyp
     phi = LocalTestFunction(pd, win, 1, _odd_table(p, D, _odd_below(1 << 53, D * 4), seed=p))
     out = fourier_multi(phi)
     assert contraction_dtypes == [np.dtype(np.int64)]
-    assert list(pd._kernel_matmul) == [np.dtype(np.int64)]
+    assert list(pd._kernel_matmul) == [(1, np.dtype(np.int64))]
     assert out.table_equal(fourier_direct(phi))
 
 
@@ -716,14 +748,14 @@ def test_contraction_tiers_switch_across_axes(contraction_dtypes):
     rng = random.Random(13)
     c = 2**49 + 2**41
     values = [CycScalar.rational(2, c + rng.randrange(-7, 8, 2)) for _ in range(size)]
-    arr, den = _transform_table(*_table_of(values, 2, "exact"), axes)
+    got = _engine_transform(values, axes)
     assert contraction_dtypes == [np.dtype(np.float64), np.dtype(np.int64), np.dtype(object)]
-    assert _int_to_values(arr, den, 2) == _generic_table_transform(values, axes)
+    assert got == _generic_table_transform(values, axes)
 
 
 def test_fourier_multi_zero():
     pd = synth(F3, 1, 0)
-    z = LocalTestFunction.zero_function(pd, Window(1, 1), 2)
+    z = LocalTestFunction(pd, Window(1, 1), 2, [CycScalar.zero(3)] * 81)
     assert all(v.is_zero() for v in fourier_multi(z).values)
 
 
@@ -751,3 +783,143 @@ def test_symbolic_fourier_commutes_with_specialization():
         exact = fourier1(LocalTestFunction.delta(pd, win, k, "exact"))
         for vs, ve in zip(sym.values, exact.values):
             assert vs.specialize(1) == ve
+
+
+def _base_change_mismatches(field, m, specialized):
+    """How many values of the symbolic fourier1 of every delta over field at
+    window (1, 1), nu = 0, read at the rational jets and specialized by
+    specialized(table), differ from the exact fourier1 over F_(q^m) of the
+    embedded delta at the embedded jet; and how many values there are."""
+    pd, win = synth(field), Window(1, 1)
+    big = make_field(field.p, field.e * m)
+    pd_big = synth(big)
+    embed = big.embedding_table(field)
+
+    def embedded(idx):
+        codes = _to_digits(idx, field.q, win.levels)
+        return jet_to_index(JetVector(pd_big, win, [big.from_code(embed[c]) for c in codes]))
+
+    mismatches = total = 0
+    for k in range(jet_space_size(pd, win)):
+        sym = fourier1(LocalTestFunction.delta(pd, win, k, "symbolic"))
+        exact = fourier1(LocalTestFunction.delta(pd_big, win, embedded(k)))
+        for j, v in enumerate(specialized(sym)):
+            total += 1
+            mismatches += v != exact.values[embedded(j)]
+    return mismatches, total
+
+
+# at q = 4, m = 2 every character value at a rational jet is 1 (2 Tr(c) = 0
+# mod 2), so only m = 3 sees the trace down to F_4
+_BASE_CHANGES = pytest.mark.parametrize("q,m", [(2, 1), (2, 2), (2, 3), (4, 2), (4, 3)])
+
+
+@_BASE_CHANGES
+def test_symbolic_fourier_base_changes_to_the_exact_transform(q, m):
+    # mu_m sends e_c to zeta^(m Tr(c)) and L to q^m: the symbolic transform
+    # over F_q, specialized at m, is the exact transform over F_(q^m) at the
+    # F_q-rational jets; specializing at 1 instead misses every value once
+    # m > 1, since the power of q differs.  At q = 4 the trace down to F_q
+    # is not the absolute one.
+    field = make_field(2, {2: 1, 4: 2}[q])
+    got = _base_change_mismatches(field, m, lambda t: [v.specialize(m) for v in t.values])
+    assert got == (0, field.q**4)
+    if m > 1:
+        one = _base_change_mismatches(field, m, lambda t: [v.specialize(1) for v in t.values])
+        assert one == (field.q**4, field.q**4)
+
+
+def _mu(phi, m):
+    """mu_m of a symbolic table as one linear map on its rows: e_c goes to
+    zeta^(m Tr(c)), Tr the trace from F_q to F_p, and L to q^m."""
+    base = phi.pd.base
+    p, tr = base.p, base.trace_table(1)
+    hist = np.zeros((base.q, p), dtype=np.int64)
+    hist[np.arange(base.q), [m * tr[c] % p for c in range(base.q)]] = 1
+    scale = Fraction(base.q) ** (m * phi._lexp)
+    return [v * scale for v in _int_to_values(phi._arr @ hist, 1, p)]
+
+
+@_BASE_CHANGES
+def test_base_change_is_one_linear_map_on_the_rows(q, m):
+    field = make_field(2, {2: 1, 4: 2}[q])
+    assert _base_change_mismatches(field, m, lambda t: _mu(t, m)) == (0, field.q**4)
+    if m > 1:
+        assert _base_change_mismatches(field, m, lambda t: _mu(t, 1)) == (field.q**4,) * 2
+
+
+_SYMBOLIC_CASES = pytest.mark.parametrize(
+    "q,d,nu,win,arity",
+    [
+        (2, 1, 0, Window(1, 1), 1),
+        (2, 1, 2, Window(0, 2), 1),
+        (2, 1, 0, Window(2, 1), 1),
+        (2, 1, 0, Window(0, 1), 2),
+        (3, 1, 0, Window(1, 1), 1),
+        (3, 2, 0, Window(0, 1), 1),
+        (4, 1, 0, Window(0, 1), 1),
+        (4, 1, 2, Window(0, 2), 1),
+        (4, 2, 0, Window(0, 1), 1),
+    ],
+)
+
+
+def _symbolic_table(pd, win, arity, seed):
+    """A symbolic table that is zero but in three random cells, each a
+    multiple of a random point class, with the power of L 0: few terms of
+    one power of L, so that the oracle's classes specialize quickly."""
+    rng = random.Random(seed)
+    size = jet_space_size(pd, win) ** arity
+    rows = np.zeros((size, pd.base.q), dtype=np.int64)
+    for idx in rng.sample(range(size), 3):
+        rows[idx, rng.randrange(pd.base.q)] = rng.choice((-2, -1, 1, 3))
+    return LocalTestFunction._from_table(pd, win, arity, rows, 1, "symbolic")
+
+
+@_SYMBOLIC_CASES
+def test_symbolic_transform_matches_the_per_cell_oracle(q, d, nu, win, arity):
+    field = make_field(2 if q != 3 else 3, {2: 1, 3: 1, 4: 2}[q])
+    pd = synth(field, d, nu)
+    phi = _symbolic_table(pd, win, arity, seed=q + 10 * d + nu)
+    out = fourier_multi(phi)
+    shift = arity * d * (nu // 2 - win.M)
+    assert out.window == win.dual(nu) and out._lexp == shift
+    want = _generic_table_transform(phi.values, [(pd, win)] * arity, "symbolic")
+    for m in (1, 2, 3):
+        assert [v.specialize(m) for v in out.values] == [v.specialize(m) for v in want], m
+    # at d = 1 the symbolic transform specializes to the exact one
+    exact = LocalTestFunction(pd, win, arity, [v.specialize(1) for v in phi.values])
+    assert [v.specialize(1) for v in out.values] == fourier_multi(exact).values
+    # the table's power of L rides along, and the rows do not move
+    lifted = LocalTestFunction._from_table(pd, win, arity, phi._arr, 1, "symbolic", 2)
+    want = LocalTestFunction._from_table(pd, out.window, arity, out._arr, 1, "symbolic", shift + 2)
+    assert fourier_multi(lifted).table_equal(want)
+
+
+def test_symbolic_indicator_at_window_3_3_specializes_to_the_exact_transform():
+    # 729 jets: the per-cell double sum took seconds here
+    pd, win = synth(F3), Window(3, 3)
+    sym = fourier1(LocalTestFunction.indicator_integral(pd, win, 1, "symbolic"))
+    exact = fourier1(LocalTestFunction.indicator_integral(pd, win))
+    assert sym._lexp == -3
+    assert [v.specialize(1) for v in sym.values] == exact.values
+
+
+def test_symbolic_tables_come_from_integer_rows():
+    pd, win = synth(F3), Window(1, 1)
+    with pytest.raises(ValueError):
+        LocalTestFunction(pd, win, 1, [MotivicClass.zero(F3)] * 9, "symbolic")
+    with pytest.raises(ValueError):
+        LocalTestFunction.from_function(pd, win, lambda jet: MotivicClass.zero(F3), 1, "symbolic")
+    a = LocalTestFunction.delta(pd, win, 1, "symbolic")
+    b = fourier1(fourier1(a))  # the same window, L^-2
+    with pytest.raises(ValueError):
+        a + b
+    with pytest.raises(ValueError):
+        a.scaled(CycScalar.one(3))
+    total = a + LocalTestFunction.delta(pd, win, 2, "symbolic")
+    assert [v.specialize(2) for v in total.values] == [
+        x.specialize(2) + y.specialize(2)
+        for x, y in zip(a.values, LocalTestFunction.delta(pd, win, 2, "symbolic").values)
+    ]
+    assert not a.table_equal(LocalTestFunction.delta(pd, win, 1))  # modes differ
